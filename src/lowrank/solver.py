@@ -90,18 +90,20 @@ def inertial_value(rule, k, step_norm_prev=0.0):
 
 @dataclass(frozen=True)
 class Continuation:
-    """Rank-continuation policy: shrink the factor budget to the rank of U."""
+    """Rank-continuation policy: shrink the factor budget to the rank of X.
+
+    Once the numerical rank of the iterate (relative tolerance rank_tol)
+    reads the same value below the budget r for cadence consecutive
+    iterations, r is cut to that rank. Cuts only ever shrink r.
+    """
 
     enabled: bool = False
-    burn_in: int = 20
-    cadence: int = 10
+    cadence: int = 3
     rank_tol: float = linalg.DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.cadence < 1:
             raise ValueError(f"cadence must be >= 1, got {self.cadence}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
 @dataclass(frozen=True)
@@ -293,8 +295,9 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
 
     Iterates the inertial extrapolation, a gradient step on the weighted
     loss, and the factored inner solve whose product replaces the SVT
-    step. With cfg.continuation.enabled, the factor budget r is shrunk to
-    the numerical rank of U every cadence iterations after burn_in.
+    step. With cfg.continuation.enabled, the factor budget r is cut to the
+    rank of X once that rank has held below r for cadence consecutive
+    iterations; each cut adds a note to the trace.
 
     Args:
         p: Problem instance.
@@ -303,8 +306,9 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         seed: Seed for the cold-start factor generator.
 
     Returns:
-        SolveTrace. Elapsed times cover the iteration loop only; trace
-        bookkeeping (rank, objective) is excluded from the clock.
+        SolveTrace. Elapsed times cover the iteration loop and the
+        continuation cuts; trace bookkeeping (rank, objective) is excluded
+        from the clock, including the rank read that triggers a cut.
     """
     X = _check_start(p, X0)
     m, n = X.shape
@@ -318,6 +322,8 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     X_prev = X
     step_prev = 0.0
     records = []
+    cuts = []
+    held = 0
     elapsed = 0.0
     converged = False
     k = 0
@@ -340,11 +346,6 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
         X_new = pair.product()
         step = float(np.linalg.norm(X_new - X))
-        if cont.enabled and k >= cont.burn_in and (k - cont.burn_in) % cont.cadence == 0:
-            new_r = linalg.numerical_rank(pair.U, cont.rank_tol)
-            if new_r < r:
-                pair = truncate_factors(pair.U, pair.V, new_r)
-                r = pair.r
         elapsed += time.perf_counter() - t0
 
         if not np.all(np.isfinite(X_new)):
@@ -355,9 +356,17 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
                 trace=trace,
             )
 
-        # truncation is lossless beyond the detected rank, so the current
-        # pair reports the same numerical rank as X_new
         rank_x = _factored_rank(pair.U, pair.V, cont.rank_tol)
+        held = held + 1 if records and records[-1].rank_x == rank_x else 1
+        new_r = max(rank_x, 1)
+        if cont.enabled and held >= cont.cadence and new_r < r:
+            # the rank of X has settled below the budget: drop the factor
+            # columns that carry nothing beyond rank_tol
+            t0 = time.perf_counter()
+            pair = truncate_factors(pair.U, pair.V, new_r)
+            elapsed += time.perf_counter() - t0
+            cuts.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
+            r = new_r
         obj = operators.objective(p, X_new) if cfg.trace_level == "full" else float("nan")
         rank_R = None
         if cfg.probe_exact_prox:
@@ -373,7 +382,7 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
             break
 
     return SolveTrace(records, X, converged, k, elapsed, seed, gamma, L,
-                      notes=_notes(cfg, gamma, L))
+                      notes=_notes(cfg, gamma, L) + tuple(cuts))
 
 
 def pgd_solve(p, cfg, X0=None, seed=0):

@@ -170,7 +170,7 @@ def test_inner_loop_stays_off_scipy_linalg(monkeypatch):
     trace = prograamme_solve(
         gen.problem(gen.noise_norm),
         SolverConfig(r=10, inner=FixedI(1), stop=Stopping(1e-8, max_iter=200),
-                     continuation=Continuation(enabled=True, burn_in=5)),
+                     continuation=Continuation(enabled=True)),
         seed=1,
     )
     assert trace.iterations >= 1

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ def test_solve_rc_identifies_planted_rank(tmp_path, runner):
         summary = json.load(fh)
     assert summary["final_rank"] == 3
     assert summary["config"]["continuation"]["enabled"] is True
+    # one note per cut, matching the budget drops in the trace
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    budgets = [25] + [int(row["r"]) for row in rows]
+    drops = [(budgets[i], budgets[i + 1], int(row["k"]))
+             for i, row in enumerate(rows) if budgets[i + 1] < budgets[i]]
+    cuts = [tuple(int(g) for g in m.groups()) for m in (
+        re.fullmatch(r"rank budget cut from (\d+) to (\d+) at iteration (\d+)", note)
+        for note in summary["notes"]) if m]
+    assert cuts == drops
+    assert cuts[-1][1] == 3
 
 
 def test_solve_fista_echoes_rule(tmp_path, runner):

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowrank import problems, solver
 from lowrank.amfit import FixedI, Tolerance
@@ -133,6 +134,47 @@ def test_truncate_factors_matches_svd_tail():
     assert err == pytest.approx(np.sqrt(np.sum(s[4:] ** 2)), rel=1e-9)
 
 
+@st.composite
+def planted_factor_pairs(draw):
+    """(U, V, k): an m x r by r x n pair whose product has rank k <= r."""
+    m = draw(st.integers(2, 25))
+    n = draw(st.integers(2, 25))
+    r = draw(st.integers(1, min(m, n)))
+    k = draw(st.integers(1, r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 10.0 ** rng.uniform(-3.0, 0.0, size=k)
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    U = scale * (rng.standard_normal((m, k)) * spread) @ rng.standard_normal((k, r))
+    V = rng.standard_normal((r, n))
+    return U, V, k
+
+
+def _assert_balanced(pair, X):
+    gap = np.abs(pair.U.T @ pair.U - pair.V @ pair.V.T).max()
+    assert gap <= 1e-10 * np.linalg.norm(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_factor_pairs(), st.data())
+def test_truncate_factors_properties(planted, data):
+    U, V, k = planted
+    X = U @ V
+    norm = np.linalg.norm(X)
+    # cutting to the planted rank loses nothing
+    pair = truncate_factors(U, V, k)
+    assert pair.r == k
+    assert np.linalg.norm(pair.product() - X) <= 1e-10 * norm
+    _assert_balanced(pair, X)
+    # cutting below it leaves exactly the Eckart-Young tail
+    if k > 1:
+        j = data.draw(st.integers(1, k - 1))
+        s = np.linalg.svd(X, compute_uv=False)
+        pair = truncate_factors(U, V, j)
+        err = np.linalg.norm(pair.product() - X)
+        assert abs(err - np.sqrt(np.sum(s[j:] ** 2))) <= 1e-10 * norm
+        _assert_balanced(pair, X)
+
+
 def test_truncate_factors_validation():
     with pytest.raises(ValueError):
         truncate_factors(np.ones((4, 2)), np.ones((2, 4)), 3)
@@ -150,7 +192,7 @@ def test_continuation_shrinks_budget_monotonically():
     cfg = SolverConfig(
         r=30,
         inner=Tolerance(1e-6, 50),
-        continuation=Continuation(enabled=True, burn_in=10, cadence=5),
+        continuation=Continuation(enabled=True, cadence=5),
         stop=Stopping(1e-9, 0.0, 1000),
     )
     trace = prograamme_solve(p, cfg, seed=1)
@@ -160,6 +202,17 @@ def test_continuation_shrinks_budget_monotonically():
     assert trace.final_rank == 4
     assert rs[-1] == 4
     assert numerical_rank(trace.X) == 4
+
+    # a record's r is the budget after that iteration's cut, if any
+    ranks = trace.column("rank_x")
+    r_before = [cfg.r] + rs[:-1]
+    cuts = [i for i in range(len(rs)) if rs[i] < r_before[i]]
+    cadence = cfg.continuation.cadence
+    settled = next(i for i in range(cadence - 1, len(ranks))
+                   if ranks[i] < r_before[i] and len(set(ranks[i - cadence + 1:i + 1])) == 1)
+    assert cuts[0] == settled
+    assert rs[settled] == ranks[settled]
+    assert all(ranks[i] < r_before[i] for i in cuts)
 
 
 def test_divergent_step_raises():
