@@ -262,6 +262,47 @@ def _factored_rank(U, V, rel_tol):
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
+#: Columns the rank sketch adds to the rank it expects.
+_SKETCH_OVERSAMPLING = 10
+
+
+def _sketched_rank(X, U, V, rel_tol, hint, rng):
+    """Certified numerical rank of X = U @ V from a range sketch, or None.
+
+    A Gaussian sketch of width w = hint + _SKETCH_OVERSAMPLING gives
+    X = Q B + E with Q orthonormal and E orthogonal to it (Halko, Martinsson
+    and Tropp, SIAM Review 2011, sec. 4.3). With s the singular values of B
+    and e = |E|_F, each sigma_i(X) lies in [s_i, sqrt(s_i^2 + e^2)] and every
+    sigma_j(X) with j > w is at most e. The count is returned only when these
+    intervals, widened by a rounding slack that covers this read and
+    _factored_rank alike, place every singular value on one side of
+    rel_tol * sigma_1(X); it then equals _factored_rank(U, V, rel_tol).
+    Otherwise the result is None, as it is without any sketch when 2w
+    exceeds the factor budget r and the sketch would not pay. rng only
+    changes how often a read is certified, never its value.
+    """
+    w = hint + _SKETCH_OVERSAMPLING
+    if 2 * w > U.shape[1]:
+        return None
+    m, n = X.shape
+    Q = np.linalg.qr(X @ rng.standard_normal((n, w)))[0]
+    B = Q.T @ X
+    # one m x n temporary, not two: a second one costs more than the GEMMs
+    E = Q @ B
+    E -= X
+    e = float(np.linalg.norm(E))
+    s = np.linalg.svd(B, compute_uv=False)
+    slack = 64.0 * np.finfo(float).eps * (m + n) * np.linalg.norm(U) * np.linalg.norm(V)
+    upper = np.sqrt(s * s + e * e)
+    floor_lo = rel_tol * (s[0] - slack)
+    floor_hi = rel_tol * (upper[0] + slack)
+    above = s - slack > floor_hi
+    below = upper + slack < floor_lo
+    if e + slack >= floor_lo or not np.all(above | below):
+        return None
+    return int(np.count_nonzero(above))
+
+
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -297,7 +338,10 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     loss, and the factored inner solve whose product replaces the SVT
     step. With cfg.continuation.enabled, the factor budget r is cut to the
     rank of X once that rank has held below r for cadence consecutive
-    iterations; each cut adds a note to the trace.
+    iterations; each cut adds a note to the trace. The rank of X comes from
+    _sketched_rank, sized by the previous record's rank, and from the exact
+    _factored_rank whenever the sketch cannot certify it; both give the
+    same count.
 
     Args:
         p: Problem instance.
@@ -306,15 +350,18 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         seed: Seed for the cold-start factor generator.
 
     Returns:
-        SolveTrace. Elapsed times cover the iteration loop and the
-        continuation cuts; trace bookkeeping (rank, objective) is excluded
-        from the clock, including the rank read that triggers a cut.
+        SolveTrace. Elapsed times cover the whole iteration, including the
+        rank read and the continuation cuts. Only the opt-in diagnostics
+        (the "full" trace objective and probe_exact_prox) are excluded.
     """
     X = _check_start(p, X0)
     m, n = X.shape
     gamma, L = _resolve_gamma(p, cfg)
     mu = p.tau * gamma
     rng = np.random.default_rng(seed)
+    # the rank sketch draws from its own generator so that the cold-start
+    # restarts do not move; a certified read does not depend on its draws
+    sketch_rng = np.random.default_rng(0)
     r = min(cfg.r, min(m, n))
     pair = amfit.random_pair(m, n, r, rng)
     cont = cfg.continuation
@@ -346,9 +393,8 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
         X_new = pair.product()
         step = float(np.linalg.norm(X_new - X))
-        elapsed += time.perf_counter() - t0
-
         if not np.all(np.isfinite(X_new)):
+            elapsed += time.perf_counter() - t0
             trace = SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L)
             raise DivergenceError(
                 f"iterate became non-finite at iteration {k} "
@@ -356,17 +402,20 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
                 trace=trace,
             )
 
-        rank_x = _factored_rank(pair.U, pair.V, cont.rank_tol)
+        hint = records[-1].rank_x if records else r
+        rank_x = _sketched_rank(X_new, pair.U, pair.V, cont.rank_tol, hint, sketch_rng)
+        if rank_x is None:
+            rank_x = _factored_rank(pair.U, pair.V, cont.rank_tol)
         held = held + 1 if records and records[-1].rank_x == rank_x else 1
         new_r = max(rank_x, 1)
         if cont.enabled and held >= cont.cadence and new_r < r:
             # the rank of X has settled below the budget: drop the factor
             # columns that carry nothing beyond rank_tol
-            t0 = time.perf_counter()
             pair = truncate_factors(pair.U, pair.V, new_r)
-            elapsed += time.perf_counter() - t0
             cuts.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
             r = new_r
+        elapsed += time.perf_counter() - t0
+
         obj = operators.objective(p, X_new) if cfg.trace_level == "full" else float("nan")
         rank_R = None
         if cfg.probe_exact_prox:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lowrank import problems, solver
 from lowrank.amfit import FixedI, Tolerance
 from lowrank.exceptions import DivergenceError
-from lowrank.linalg import numerical_rank
+from lowrank.linalg import DEFAULT_RANK_TOL, numerical_rank
 from lowrank.operators import Identity, Problem
 from lowrank.prox import svt
 from lowrank.solver import (Constant, Continuation, FistaLike, Online,
@@ -173,6 +173,112 @@ def test_truncate_factors_properties(planted, data):
         err = np.linalg.norm(pair.product() - X)
         assert abs(err - np.sqrt(np.sum(s[j:] ** 2))) <= 1e-10 * norm
         _assert_balanced(pair, X)
+
+
+@st.composite
+def sketch_cases(draw):
+    """(U, V, hint, kind, k): balanced factors of a planted spectrum.
+
+    kind "gap": rank k <= hint + 10 with a tail at least 1e4 below the rank
+    tolerance (or exactly zero); "edge": the same, or a tail just below the
+    tolerance, with one more value at tol * sigma_1 * (1 +- 10^-j), j in
+    1..12; "band": a tail that straddles the tolerance; "wide": rank
+    k > hint + 10; "zero": X = 0.
+    """
+    hint = draw(st.integers(0, 6))
+    m = draw(st.integers(2 * (hint + 10), 60))
+    n = draw(st.integers(2 * (hint + 10), 60))
+    r = draw(st.integers(2 * (hint + 10), min(m, n)))
+    kind = draw(st.sampled_from(["gap", "edge", "band", "wide", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "wide":
+        k = draw(st.integers(hint + 11, r))
+    else:
+        k = draw(st.integers(1, min(hint + 10, r - 1)))
+    s = np.zeros(r)
+    s[:k] = np.sort(10.0 ** rng.uniform(-3.0, 0.0, size=k))[::-1]
+    s[0] = 1.0
+    if kind in ("gap", "edge") and draw(st.booleans()):
+        s[k:] = 10.0 ** rng.uniform(-16.0, -12.0, size=r - k)
+    if kind == "edge":
+        # a tail just below the tolerance blurs the sketch near it
+        if draw(st.booleans()):
+            s[k:] = 10.0 ** rng.uniform(-10.0, -8.5, size=r - k)
+        j = draw(st.integers(1, 12))
+        s[k] = DEFAULT_RANK_TOL * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0**-j)
+    if kind == "band":
+        s[k:] = 10.0 ** rng.uniform(-10.0, -6.0, size=r - k)
+    s *= 10.0 ** draw(st.floats(-6.0, 6.0))
+    P = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    Q = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    O = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    root = np.sqrt(s)
+    U = (P * root) @ O
+    V = O.T @ (root[:, None] * Q.T)
+    if kind == "zero":
+        U = np.zeros_like(U)
+    return U, V, hint, kind, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(sketch_cases(), st.integers(0, 2**32 - 1))
+def test_sketched_rank_is_exact_or_declines(case, sketch_seed):
+    U, V, hint, kind, k = case
+    tol = DEFAULT_RANK_TOL
+    got = solver._sketched_rank(U @ V, U, V, tol, hint, np.random.default_rng(sketch_seed))
+    assert got is None or got == solver._factored_rank(U, V, tol)
+    if kind == "wide":
+        assert got is None
+    if kind == "gap" and k <= hint:
+        # a clean gap with the full oversampling is always certified
+        assert got == k
+
+
+def test_sketched_rank_skips_narrow_budgets():
+    rng = np.random.default_rng(0)
+    U = rng.standard_normal((50, 21))
+    V = rng.standard_normal((21, 50))
+    # w = 1 + 10 columns would be more than half of r = 21
+    assert solver._sketched_rank(U @ V, U, V, DEFAULT_RANK_TOL, 1, rng) is None
+
+
+def test_sketched_rank_leaves_traces_bit_identical(monkeypatch):
+    spec = problems.SyntheticSpec(
+        120, 120, 4, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.5, seed=3
+    )
+    gen = problems.generate_full(spec)
+    p = gen.problem(gen.noise_norm)
+    sketched = solver._sketched_rank
+
+    def run(enabled, read):
+        calls = []
+
+        def spy(*args):
+            calls.append(read(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(solver, "_sketched_rank", spy)
+        cfg = SolverConfig(r=60, inner=FixedI(1),
+                           continuation=Continuation(enabled=enabled),
+                           stop=Stopping(1e-8, 0.0, 3000))
+        trace = prograamme_solve(p, cfg, seed=1)
+        rows = [(rec.k, rec.step_norm, rec.rank_x, rec.r, rec.inner_iters)
+                for rec in trace.records]
+        return rows, trace, sum(c is not None for c in calls)
+
+    for enabled in (False, True):
+        rows, trace, certified = run(enabled, sketched)
+        exact_rows, exact, _ = run(enabled, lambda *args: None)
+        assert trace.converged
+        assert rows == exact_rows
+        assert trace.notes == exact.notes
+        np.testing.assert_array_equal(trace.X, exact.X)
+        if enabled:
+            # the reads before the cut, which decide it, are sketched
+            assert any("cut from 60 to 4" in note for note in trace.notes)
+            assert certified > 0
+        else:
+            assert certified >= len(rows) / 2
 
 
 def test_truncate_factors_validation():
