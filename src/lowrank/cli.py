@@ -343,6 +343,10 @@ def cmd_solve(problem_dir, config_file, algorithm, out_dir, seed, trace_level):
     if not trace.converged:
         click.echo(f"did not converge within {trace.iterations} iterations")
         sys.exit(EXIT_NO_CONVERGENCE)
+    if not trace.certified:
+        click.echo(f"stopped after {trace.iterations} iterations on a binding rank "
+                   f"budget; prox-gradient residual {trace.exit_residual:.2e}")
+        sys.exit(EXIT_NO_CONVERGENCE)
     click.echo(f"converged in {trace.iterations} iterations "
                f"(final rank {trace.final_rank})")
 

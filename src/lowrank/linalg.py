@@ -39,15 +39,6 @@ def frobenius_norm(A):
     return float(np.linalg.norm(as_matrix(A)))
 
 
-def hadamard(A, B):
-    """Entrywise (Hadamard) product of two same-shape matrices."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape != B.shape:
-        raise DimensionError(f"shape mismatch in hadamard: {A.shape} vs {B.shape}")
-    return A * B
-
-
 def spd_solve(G, B):
     """Solve G @ Y = B for symmetric positive definite G.
 

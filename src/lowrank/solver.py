@@ -19,6 +19,14 @@ from .amfit import FactorPair, FixedI, IncreasingI, Tolerance
 from .exceptions import DimensionError, DivergenceError
 from .linalg import as_matrix
 
+#: Columns rc keeps above the rank of X, so that rank_x < r shows the
+#: budget is not binding; also rc's starting budget.
+_RANK_MARGIN = 4
+
+#: Relative prox-gradient residual above which an exit with a binding
+#: budget is not certified.
+_EXIT_RESIDUAL_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # inertial rules
@@ -90,11 +98,14 @@ def inertial_value(rule, k, step_norm_prev=0.0):
 
 @dataclass(frozen=True)
 class Continuation:
-    """Rank-continuation policy: shrink the factor budget to the rank of X.
+    """Rank-continuation policy: fit the factor budget r to the rank of X.
 
-    Once the numerical rank of the iterate (relative tolerance rank_tol)
-    reads the same value below the budget r for cadence consecutive
-    iterations, r is cut to that rank. Cuts only ever shrink r.
+    The budget starts small and moves both ways, each move decided by the
+    numerical rank of the iterate (relative tolerance rank_tol) once it has
+    read the same value for cadence consecutive iterations. A rank that
+    fills the budget grows r (at most doubling it, never past SolverConfig.r);
+    a rank more than a margin below the budget cuts r to that rank plus the
+    margin, so that a rank below r shows the budget does not bind.
     """
 
     enabled: bool = False
@@ -125,7 +136,8 @@ class SolverConfig:
 
     gamma defaults to 1/L when None. trace_level "full" also records the
     objective each iteration (needs an SVD); "light" skips it to keep the
-    SVD-free path honest in timing benchmarks.
+    SVD-free path honest in timing benchmarks. r is the factor rank
+    budget; with continuation enabled it is the cap of an adaptive budget.
     """
 
     gamma: float = None
@@ -174,10 +186,16 @@ class SolveTrace:
     gamma: float = None
     lipschitz: float = None
     notes: tuple = ()
+    exit_residual: float = None
 
     @property
     def final_rank(self):
         return self.records[-1].rank_x if self.records else 0
+
+    @property
+    def certified(self):
+        """False when the run ended on a binding rank budget that failed its certificate."""
+        return self.exit_residual is None or self.exit_residual <= _EXIT_RESIDUAL_TOL
 
     def column(self, name):
         return [getattr(rec, name) for rec in self.records]
@@ -209,6 +227,7 @@ class SolveTrace:
             "total_seconds": self.seconds,
             "gamma": self.gamma,
             "lipschitz": self.lipschitz,
+            "exit_residual": self.exit_residual,
             "notes": list(self.notes),
         }
         if config is not None:
@@ -331,46 +350,91 @@ def _notes(cfg, gamma, L):
     return tuple(notes)
 
 
+def _prox_residual(p, X, gamma):
+    """Relative prox-gradient residual |X - SVT(X - g grad f(X), g tau)| / (g max(|X|, 1))."""
+    Z = X - gamma * operators.gradient(p, X)
+    R = X - prox.svt(Z, gamma * p.tau)
+    return float(np.linalg.norm(R)) / (gamma * max(float(np.linalg.norm(X)), 1.0))
+
+
+def _grow_factors(R, mu, pair, r_cap, rng):
+    """Append the SVT of the top part of the prox residual R to the factors.
+
+    Two block power steps of width b = min(r, r_cap - r) find the top of
+    R = Z - UV; every singular value s_i > mu of that part adds the column
+    Q P_i sqrt(s_i - mu) to U and the row sqrt(s_i - mu) Wt_i to V. With UV
+    the rank-r part of SVT(Z, mu), these are its missing terms. Returns
+    None when no s_i exceeds mu.
+    """
+    b = min(pair.r, r_cap - pair.r)
+    Q = np.linalg.qr(R @ rng.standard_normal((R.shape[1], b)))[0]
+    for _ in range(2):
+        Q = np.linalg.qr(R @ (R.T @ Q))[0]
+    P, s, Wt = np.linalg.svd(Q.T @ R, full_matrices=False)
+    keep = s > mu
+    if not keep.any():
+        return None
+    root = np.sqrt(s[keep] - mu)
+    return FactorPair(np.hstack([pair.U, (Q @ P[:, keep]) * root]),
+                      np.vstack([pair.V, root[:, None] * Wt[keep]]))
+
+
 def prograamme_solve(p, cfg, X0=None, seed=0):
     """SVD-free proximal gradient with alternating-minimization inner loop.
 
     Iterates the inertial extrapolation, a gradient step on the weighted
     loss, and the factored inner solve whose product replaces the SVT
-    step. With cfg.continuation.enabled, the factor budget r is cut to the
-    rank of X once that rank has held below r for cadence consecutive
-    iterations; each cut adds a note to the trace. The rank of X comes from
-    _sketched_rank, sized by the previous record's rank, and from the exact
-    _factored_rank whenever the sketch cannot certify it; both give the
-    same count.
+    step. The rank of X comes from _sketched_rank, sized by the previous
+    record's rank, and from the exact _factored_rank whenever the sketch
+    cannot certify it; both give the same count.
+
+    The product equals the SVT step only while the budget r covers the
+    rank of the optimum. The budget binds when the rank of X equals r, and
+    an exit on a binding budget is certified by the prox-gradient residual
+    (SolveTrace.exit_residual). Above _EXIT_RESIDUAL_TOL the run notes that
+    X is not the optimum and SolveTrace.certified is False; rc then grows
+    and goes on if it can, and otherwise ends with converged False, while
+    plain keeps converged True for the fixed point of its rank-r scheme.
+
+    With cfg.continuation.enabled (rc), r starts at _RANK_MARGIN and
+    adapts, capped at cfg.r: once the rank of X has held for cadence
+    iterations, r grows by _grow_factors if that rank fills it, and is cut
+    to the rank plus _RANK_MARGIN if that is below r. Each move adds a note
+    to the trace.
 
     Args:
         p: Problem instance.
-        cfg: SolverConfig; cfg.r is the (initial) factor rank budget.
+        cfg: SolverConfig; cfg.r is the factor rank budget, rc's cap.
         X0: Starting iterate, zero matrix by default.
         seed: Seed for the cold-start factor generator.
 
     Returns:
         SolveTrace. Elapsed times cover the whole iteration, including the
-        rank read and the continuation cuts. Only the opt-in diagnostics
-        (the "full" trace objective and probe_exact_prox) are excluded.
+        rank read, the budget moves and the exit certificate. Only the
+        opt-in diagnostics (the "full" trace objective and probe_exact_prox)
+        are excluded.
     """
     X = _check_start(p, X0)
     m, n = X.shape
     gamma, L = _resolve_gamma(p, cfg)
     mu = p.tau * gamma
     rng = np.random.default_rng(seed)
-    # the rank sketch draws from its own generator so that the cold-start
-    # restarts do not move; a certified read does not depend on its draws
+    # the rank sketch and the growth steps draw from generators of their
+    # own so that the cold-start restarts do not move; a certified read
+    # does not depend on its draws
     sketch_rng = np.random.default_rng(0)
-    r = min(cfg.r, min(m, n))
-    pair = amfit.random_pair(m, n, r, rng)
+    grow_rng = np.random.default_rng(1)
     cont = cfg.continuation
+    r_cap = min(cfg.r, m, n)
+    r = min(r_cap, _RANK_MARGIN) if cont.enabled else r_cap
+    pair = amfit.random_pair(m, n, r, rng)
 
     X_prev = X
     step_prev = 0.0
     records = []
-    cuts = []
+    moves = []
     held = 0
+    residual = None
     elapsed = 0.0
     converged = False
     k = 0
@@ -407,13 +471,42 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         if rank_x is None:
             rank_x = _factored_rank(pair.U, pair.V, cont.rank_tol)
         held = held + 1 if records and records[-1].rank_x == rank_x else 1
-        new_r = max(rank_x, 1)
-        if cont.enabled and held >= cont.cadence and new_r < r:
+        binding = rank_x == r
+        stop = step <= cfg.stop.step_tol or (
+            cfg.stop.rel_step_tol > 0.0
+            and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X)), 1.0)
+        )
+        if stop and binding:
+            residual = _prox_residual(p, X_new, gamma)
+        uncertified = residual is not None and residual > _EXIT_RESIDUAL_TOL
+        grown = None
+        if (cont.enabled and binding and r < r_cap
+                and (uncertified or (held >= cont.cadence and not stop))):
+            grown = _grow_factors(Z - X_new, mu, pair, r_cap, grow_rng)
+            # whether or not it adds columns, the next attempt waits for
+            # cadence more reads
+            held = 0
+        if grown is not None:
+            # the rank of X fills the budget: add the residual's missing
+            # SVT terms as new columns and go on
+            moves.append(f"rank budget grown from {r} to {grown.r} at iteration {k}")
+            pair, r, residual, stop = grown, grown.r, None, False
+        elif cont.enabled and held >= cont.cadence and rank_x + _RANK_MARGIN < r:
             # the rank of X has settled below the budget: drop the factor
-            # columns that carry nothing beyond rank_tol
+            # columns that carry nothing beyond rank_tol, keeping a margin
+            new_r = rank_x + _RANK_MARGIN
             pair = truncate_factors(pair.U, pair.V, new_r)
-            cuts.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
+            moves.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
             r = new_r
+        elif uncertified:
+            moves.append(
+                f"rank budget r={r} binds at exit: prox-gradient residual "
+                f"{residual:.2e} > {_EXIT_RESIDUAL_TOL:.0e}, so X is not the "
+                "optimum; a larger r is needed"
+            )
+            # rc runs until its budget is certified, so it has not converged;
+            # plain has reached a fixed point of its rank-r scheme
+            stop = not cont.enabled
         elapsed += time.perf_counter() - t0
 
         obj = operators.objective(p, X_new) if cfg.trace_level == "full" else float("nan")
@@ -423,15 +516,12 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         records.append(TraceRecord(k, elapsed, obj, step, rank_x, r, inner_iters, rank_R))
 
         X_prev, X, step_prev = X, X_new, step
-        if step <= cfg.stop.step_tol or (
-            cfg.stop.rel_step_tol > 0.0
-            and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X_prev)), 1.0)
-        ):
-            converged = True
+        if stop or residual is not None:
+            converged = stop
             break
 
     return SolveTrace(records, X, converged, k, elapsed, seed, gamma, L,
-                      notes=_notes(cfg, gamma, L) + tuple(cuts))
+                      notes=_notes(cfg, gamma, L) + tuple(moves), exit_residual=residual)
 
 
 def pgd_solve(p, cfg, X0=None, seed=0):
@@ -489,32 +579,3 @@ def pgd_solve(p, cfg, X0=None, seed=0):
 
     return SolveTrace(records, X, converged, k, elapsed, seed, gamma, L,
                       notes=_notes(cfg, gamma, L))
-
-
-def check_convergence_conditions(trace, rule):
-    """Empirical check of the summability condition sum a_k * step_k^2.
-
-    Diagnostic only; never alters a run. Recomputes a_k from the recorded
-    step norms and reports the partial sums plus a heuristic flag that is
-    set when the late terms are not decaying relative to the early ones.
-    """
-    steps = trace.column("step_norm")
-    terms = []
-    prev = 0.0
-    for rec, s in zip(trace.records, steps):
-        a = inertial_value(rule, rec.k, prev)
-        terms.append(a * s * s)
-        prev = s
-    partial = list(np.cumsum(terms)) if terms else []
-    suspect = False
-    if len(terms) >= 8:
-        half = len(terms) // 2
-        early = float(np.mean(terms[:half]))
-        late = float(np.mean(terms[half:]))
-        suspect = late > 0.0 and late >= early
-    return {
-        "terms": terms,
-        "partial_sums": partial,
-        "total": partial[-1] if partial else 0.0,
-        "suspect_nonsummable": suspect,
-    }

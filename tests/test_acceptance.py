@@ -5,6 +5,7 @@ doubles as a short report. The heavier solver runs are shared through
 module-scoped fixtures.
 """
 
+import re
 import time
 
 import numpy as np
@@ -18,8 +19,8 @@ from lowrank.operators import (DenseSensing, EntryMask, Identity, Problem,
                                gradient, lipschitz_bound, loss)
 from lowrank.problems import AdditiveGaussian, SyntheticSpec, UniformInt
 from lowrank.prox import svt_with_rank
-from lowrank.solver import (Constant, Continuation, SolverConfig, Stopping,
-                            Zero, pgd_solve, prograamme_solve)
+from lowrank.solver import (_RANK_MARGIN, Constant, Continuation, SolverConfig,
+                            Stopping, Zero, pgd_solve, prograamme_solve)
 
 
 def _report(name, detail):
@@ -222,13 +223,27 @@ def test_timing_ordering(timing400):
 
 
 def test_rank_continuation_monotone(timing400):
+    # rc's budget starts small, grows while the rank of X fills it, then
+    # only shrinks, and ends within a margin of the planted rank 10
+    move = re.compile(r"rank budget (cut|grown) from (\d+) to (\d+) at iteration (\d+)")
     for trace in timing400["rc"]:
         rs = trace.column("r")
-        assert all(b <= a for a, b in zip(rs, rs[1:]))
-        assert trace.final_rank <= 200
+        before = [min(200, _RANK_MARGIN)] + rs[:-1]
+        moves = [("cut" if b < a else "grown", a, b, k)
+                 for k, a, b in zip(trace.column("k"), before, rs) if a != b]
+        noted = [(m[1], int(m[2]), int(m[3]), int(m[4]))
+                 for m in map(move.fullmatch, trace.notes) if m]
+        assert noted == moves
+        assert max(rs) <= 200
+        grows = [k for verb, _, _, k in moves if verb == "grown"]
+        tail = rs[grows[-1] - 1:] if grows else rs
+        assert all(b <= a for a, b in zip(tail, tail[1:]))
         assert trace.final_rank == 10
+        assert numerical_rank(trace.X) == 10
+        assert 10 <= rs[-1] <= 10 + _RANK_MARGIN
     _report("rank continuation",
-            "r nonincreasing in all 5 runs, final rank 10 (planted)")
+            "r <= 200 and nonincreasing after its last growth in all 5 runs, "
+            "final rank 10 (planted)")
 
 
 def test_objective_descent(timing400, completion50, sensing100):

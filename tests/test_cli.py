@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lowrank import cli
+from lowrank import cli, solver
 from lowrank.amfit import FixedI, Tolerance
 from lowrank.solver import Constant, FistaLike, Zero
 
@@ -144,17 +144,44 @@ def test_solve_rc_identifies_planted_rank(tmp_path, runner):
         summary = json.load(fh)
     assert summary["final_rank"] == 3
     assert summary["config"]["continuation"]["enabled"] is True
-    # one note per cut, matching the budget drops in the trace
+    # one note per budget move, matching the drops and rises in the trace
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    budgets = [25] + [int(row["r"]) for row in rows]
-    drops = [(budgets[i], budgets[i + 1], int(row["k"]))
-             for i, row in enumerate(rows) if budgets[i + 1] < budgets[i]]
-    cuts = [tuple(int(g) for g in m.groups()) for m in (
-        re.fullmatch(r"rank budget cut from (\d+) to (\d+) at iteration (\d+)", note)
+    budgets = [min(25, solver._RANK_MARGIN)] + [int(row["r"]) for row in rows]
+    moves = [("cut" if budgets[i + 1] < budgets[i] else "grown",
+              budgets[i], budgets[i + 1], int(row["k"]))
+             for i, row in enumerate(rows) if budgets[i + 1] != budgets[i]]
+    noted = [(m[1], int(m[2]), int(m[3]), int(m[4])) for m in (
+        re.fullmatch(r"rank budget (cut|grown) from (\d+) to (\d+) at iteration (\d+)", note)
         for note in summary["notes"]) if m]
-    assert cuts == drops
-    assert cuts[-1][1] == 3
+    assert noted == moves
+    rs = budgets[1:]
+    assert max(rs) <= 25
+    grows = [k for verb, _, _, k in moves if verb == "grown"]
+    tail = rs[grows[-1] - 1:] if grows else rs
+    assert all(b <= a for a, b in zip(tail, tail[1:]))
+    assert int(rows[-1]["rank_x"]) == 3
+    assert 3 <= rs[-1] <= 3 + solver._RANK_MARGIN
+    assert summary["exit_residual"] is None
+
+
+def test_solve_binding_budget_exits_3(tmp_path, runner):
+    # the optimum has rank 3; a budget of 2 binds and fails the certificate
+    prob_dir = make_problem_dir(tmp_path, runner)
+    config_file = tmp_path / "config.json"
+    write_json(config_file, dict(CONFIG, r=2))
+    out = tmp_path / "run"
+    result = runner.invoke(cli.main, [
+        "solve", "--problem", str(prob_dir), "--config", str(config_file),
+        "--algo", "prograamme", "--out", str(out),
+    ])
+    assert result.exit_code == cli.EXIT_NO_CONVERGENCE, result.output
+    assert "binding rank budget" in result.output
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["final_rank"] == 2
+    assert summary["exit_residual"] > 1e-6
+    assert any("binds at exit" in note for note in summary["notes"])
 
 
 def test_solve_fista_echoes_rule(tmp_path, runner):

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from lowrank.linalg import DEFAULT_RANK_TOL, numerical_rank
 from lowrank.operators import Identity, Problem
 from lowrank.prox import svt
 from lowrank.solver import (Constant, Continuation, FistaLike, Online,
-                            SolverConfig, Stopping, Zero,
-                            check_convergence_conditions, inertial_value,
+                            SolverConfig, Stopping, Zero, inertial_value,
                             pgd_solve, prograamme_solve, truncate_factors)
 
 
@@ -22,6 +22,37 @@ def small_completion_problem(tau_scale=1.0):
     )
     gen = problems.generate_full(spec)
     return gen.problem(tau_scale * gen.noise_norm), gen
+
+
+MOVE_NOTE = re.compile(r"rank budget (cut|grown) from (\d+) to (\d+) at iteration (\d+)")
+
+
+def budget_moves(trace, start):
+    """(verb, from, to, k) for every change of the budget r between records."""
+    rs = trace.column("r")
+    before = [start] + rs[:-1]
+    return [("cut" if b < a else "grown", a, b, k)
+            for k, a, b in zip(trace.column("k"), before, rs) if a != b]
+
+
+def noted_moves(trace):
+    return [(m[1], int(m[2]), int(m[3]), int(m[4]))
+            for m in map(MOVE_NOTE.fullmatch, trace.notes) if m]
+
+
+def assert_rc_budget(trace, cap, planted):
+    """The budget stays within the cap, only shrinks after its last growth,
+    ends within a margin of the planted rank and moves only as noted."""
+    moves = budget_moves(trace, min(cap, solver._RANK_MARGIN))
+    assert noted_moves(trace) == moves
+    rs = trace.column("r")
+    assert max(rs) <= cap
+    grows = [k for verb, _, _, k in moves if verb == "grown"]
+    tail = rs[grows[-1] - 1:] if grows else rs
+    assert all(b <= a for a, b in zip(tail, tail[1:]))
+    assert trace.final_rank == planted
+    assert numerical_rank(trace.X) == planted
+    assert planted <= rs[-1] <= planted + solver._RANK_MARGIN
 
 
 def test_inertial_zero_and_constant():
@@ -274,9 +305,10 @@ def test_sketched_rank_leaves_traces_bit_identical(monkeypatch):
         assert trace.notes == exact.notes
         np.testing.assert_array_equal(trace.X, exact.X)
         if enabled:
-            # the reads before the cut, which decide it, are sketched
-            assert any("cut from 60 to 4" in note for note in trace.notes)
-            assert certified > 0
+            # rc's budget stays within a margin of the rank of X, narrower
+            # than a sketch of that rank needs, so every read is exact
+            assert max(trace.column("r")) < 2 * solver._SKETCH_OVERSAMPLING
+            assert certified == 0
         else:
             assert certified >= len(rows) / 2
 
@@ -290,35 +322,117 @@ def test_truncate_factors_validation():
 
 
 def test_continuation_shrinks_budget_monotonically():
+    # rank 4 matches rc's starting budget, which then never moves and ends
+    # binding, so the exit is certified; rank 8 at a smaller tau grows the
+    # budget past the margin and then cuts it back
+    for planted, tau_scale in ((4, 1.0), (8, 0.5)):
+        spec = problems.SyntheticSpec(
+            60, 60, planted, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.6, seed=5
+        )
+        gen = problems.generate_full(spec)
+        p = gen.problem(tau_scale * gen.noise_norm)
+        cfg = SolverConfig(
+            r=30,
+            inner=Tolerance(1e-6, 50),
+            continuation=Continuation(enabled=True, cadence=5),
+            stop=Stopping(1e-9, 0.0, 1000),
+        )
+        trace = prograamme_solve(p, cfg, seed=1)
+        assert trace.converged and trace.certified
+        assert_rc_budget(trace, cfg.r, planted)
+
+        # a record's r is the budget after that iteration's move, if any;
+        # each move follows cadence equal reads of the rank of X
+        rs = trace.column("r")
+        ranks = trace.column("rank_x")
+        cadence = cfg.continuation.cadence
+        for verb, r_from, r_to, k in budget_moves(trace, solver._RANK_MARGIN):
+            i = k - 1
+            assert i >= cadence - 1 and len(set(ranks[i - cadence + 1:i + 1])) == 1
+            if verb == "cut":
+                assert r_to == ranks[i] + solver._RANK_MARGIN
+            else:
+                assert ranks[i] == r_from and r_to <= 2 * r_from
+        if planted == 4:
+            assert set(rs) == {4}
+            assert trace.exit_residual <= 1e-6
+        else:
+            assert [verb for verb, *_ in budget_moves(trace, solver._RANK_MARGIN)][-1] == "cut"
+            assert trace.exit_residual is None
+
+
+def test_binding_budget_fails_its_exit_certificate():
+    # the optimum has rank 11; a budget of 8 binds
     spec = problems.SyntheticSpec(
-        60, 60, 4, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.6, seed=5
+        40, 40, 10, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.7, seed=3
     )
     gen = problems.generate_full(spec)
     p = gen.problem(gen.noise_norm)
-    cfg = SolverConfig(
-        r=30,
-        inner=Tolerance(1e-6, 50),
-        continuation=Continuation(enabled=True, cadence=5),
-        stop=Stopping(1e-9, 0.0, 1000),
-    )
-    trace = prograamme_solve(p, cfg, seed=1)
-    assert trace.converged
-    rs = trace.column("r")
-    assert all(b <= a for a, b in zip(rs, rs[1:]))
-    assert trace.final_rank == 4
-    assert rs[-1] == 4
-    assert numerical_rank(trace.X) == 4
+    stop = Stopping(1e-10, 0.0, 5000)
+    ref = pgd_solve(p, SolverConfig(stop=stop))
+    assert ref.converged and ref.final_rank > 8
 
-    # a record's r is the budget after that iteration's cut, if any
-    ranks = trace.column("rank_x")
-    r_before = [cfg.r] + rs[:-1]
-    cuts = [i for i in range(len(rs)) if rs[i] < r_before[i]]
-    cadence = cfg.continuation.cadence
-    settled = next(i for i in range(cadence - 1, len(ranks))
-                   if ranks[i] < r_before[i] and len(set(ranks[i - cadence + 1:i + 1])) == 1)
-    assert cuts[0] == settled
-    assert rs[settled] == ranks[settled]
-    assert all(ranks[i] < r_before[i] for i in cuts)
+    def run(r, cont):
+        return prograamme_solve(p, SolverConfig(r=r, inner=FixedI(1), stop=stop,
+                                                continuation=cont), seed=1)
+
+    def dist(trace):
+        return np.linalg.norm(trace.X - ref.X) / max(np.linalg.norm(ref.X), 1.0)
+
+    # at the cap, both factored solvers say X is not the optimum
+    for cont in (Continuation(), Continuation(enabled=True)):
+        trace = run(8, cont)
+        assert trace.converged is not cont.enabled
+        assert not trace.certified
+        assert trace.exit_residual > 1e-6
+        assert trace.final_rank == trace.records[-1].r == 8
+        assert any("binds at exit" in note for note in trace.notes)
+        assert dist(trace) > 1e-2
+        assert trace.summary()["exit_residual"] == trace.exit_residual
+    # below the cap, a failed certificate grows rc's budget and the run goes
+    # on; a cadence longer than the run leaves growth to the certificate
+    trace = run(40, Continuation(enabled=True, cadence=10**6))
+    assert trace.converged and trace.certified
+    assert sum("grown" in note for note in trace.notes) >= 2
+    assert dist(trace) <= 1e-6
+    # an exit below the budget needs no certificate
+    trace = run(40, Continuation())
+    assert trace.converged and trace.exit_residual is None
+    assert trace.summary()["exit_residual"] is None
+
+
+@st.composite
+def weighted_planted(draw):
+    """(Problem, k): a weighted identity problem whose optimum has rank k."""
+    k = draw(st.integers(1, 12))
+    m = draw(st.integers(k + 4, 60))
+    n = draw(st.integers(k + 4, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    Q = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    F = (P * rng.uniform(1.0, 3.0, size=k)) @ Q.T + 1e-3 * rng.standard_normal((m, n))
+    W = rng.uniform(0.8, 1.0, size=(m, n))
+    return Problem(Identity((m, n)), F, W, 0.2), k
+
+
+@settings(max_examples=25, deadline=None)
+@given(weighted_planted(), st.integers(4, 30))
+def test_rc_grows_from_its_small_start_to_the_optimum(case, extra):
+    p, k = case
+    cap = k + extra
+    stop = Stopping(1e-11, 0.0, 3000)
+    ref = pgd_solve(p, SolverConfig(stop=stop))
+    assert ref.converged and ref.final_rank == k
+    trace = prograamme_solve(p, SolverConfig(r=cap, inner=FixedI(1), stop=stop,
+                                             continuation=Continuation(enabled=True)),
+                             seed=1)
+    assert trace.converged and trace.certified
+    assert max(trace.column("r")) <= cap
+    dist = np.linalg.norm(trace.X - ref.X) / max(np.linalg.norm(ref.X), 1.0)
+    assert dist <= 1e-6
+    assert solver._prox_residual(p, trace.X, trace.gamma) <= 1e-6
+    if k > solver._RANK_MARGIN:
+        assert any("grown" in note for note in trace.notes)
 
 
 def test_divergent_step_raises():
@@ -359,17 +473,6 @@ def test_probe_exact_prox_records_rank():
     cfg = SolverConfig(r=10, stop=Stopping(1e-6, 0.0, 20), probe_exact_prox=True)
     trace = prograamme_solve(p, cfg, seed=1)
     assert all(rec.rank_exact_prox is not None for rec in trace.records)
-
-
-def test_check_convergence_conditions():
-    p, _ = small_completion_problem()
-    cfg = SolverConfig(rule=Constant(0.5), r=10, stop=Stopping(1e-9, 0.0, 500))
-    trace = prograamme_solve(p, cfg, seed=1)
-    report = check_convergence_conditions(trace, Constant(0.5))
-    assert report["total"] < np.inf
-    assert not report["suspect_nonsummable"]
-    zero_report = check_convergence_conditions(trace, Zero())
-    assert zero_report["total"] == 0.0
 
 
 def test_fista_stepsize_note():
