@@ -9,6 +9,10 @@ class DimensionError(LowRankError, ValueError):
     """Operand shapes are incompatible."""
 
 
+class NonFiniteError(LowRankError, ValueError):
+    """An input matrix has an infinite or NaN entry."""
+
+
 class DefinitenessError(LowRankError, ValueError):
     """A matrix required to be symmetric positive definite is not."""
 

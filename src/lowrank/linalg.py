@@ -8,7 +8,7 @@ second OpenBLAS whose thread pool contends with numpy's when calls alternate.
 
 import numpy as np
 
-from .exceptions import DefinitenessError, DimensionError, NumericalError
+from .exceptions import DefinitenessError, DimensionError, NonFiniteError, NumericalError
 
 #: Default relative tolerance for numerical rank decisions.
 DEFAULT_RANK_TOL = 1e-8
@@ -30,13 +30,8 @@ def as_matrix(A, name="matrix"):
     if M.shape[0] < 1 or M.shape[1] < 1:
         raise DimensionError(f"{name} must have positive dimensions, got {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return M
-
-
-def frobenius_norm(A):
-    """Frobenius norm of A."""
-    return float(np.linalg.norm(as_matrix(A)))
 
 
 def spd_solve(G, B):

@@ -135,7 +135,10 @@ class Problem:
     """One weighted low-rank recovery instance.
 
     Minimizes 0.5 * |(op(X) - F) . W|^2 + tau * |X|_* over X. The squared
-    weights W . W are cached at construction.
+    weights W_tilde = W . W are cached at construction. For the operators
+    that act entrywise, W_bar = op* W_tilde op is cached as well: the
+    matrix mask . W_tilde for EntryMask, and W_tilde itself (not a copy)
+    for Identity. It is None for DenseSensing.
     """
 
     op: object
@@ -143,6 +146,7 @@ class Problem:
     W: np.ndarray
     tau: float
     W_tilde: np.ndarray = field(init=False, repr=False)
+    W_bar: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         F = as_matrix(self.F, "F")
@@ -158,10 +162,18 @@ class Problem:
             raise DegenerateProblemError("weight matrix is identically zero")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        W_tilde = W * W
+        if isinstance(self.op, EntryMask):
+            W_bar = self.op.mask * W_tilde
+        elif isinstance(self.op, Identity):
+            W_bar = W_tilde
+        else:
+            W_bar = None
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "W_tilde", W * W)
+        object.__setattr__(self, "W_tilde", W_tilde)
+        object.__setattr__(self, "W_bar", W_bar)
 
     @property
     def domain_shape(self):
@@ -175,9 +187,24 @@ def loss(p, X):
 
 
 def gradient(p, X):
-    """Gradient of the smooth loss at X."""
-    R = (apply(p.op, X) - p.F) * p.W_tilde
-    return adjoint(p.op, R)
+    """Gradient of the smooth loss at X: op*((op(X) - F) . W_tilde).
+
+    With W_bar cached (Identity, EntryMask) this is (X - F) . W_bar, two
+    passes over one new array with X validated once. It equals the
+    adjoint(apply(...)) form bit for bit, up to the sign of zeros at
+    unobserved entries. Dense sensing takes the adjoint(apply(...)) form.
+    """
+    if p.W_bar is None:
+        R = (apply(p.op, X) - p.F) * p.W_tilde
+        return adjoint(p.op, R)
+    X = as_matrix(X, "X")
+    if X.shape != p.F.shape:
+        raise DimensionError(
+            f"operand shape {X.shape} does not match domain {p.F.shape}"
+        )
+    R = X - p.F
+    R *= p.W_bar
+    return R
 
 
 def lipschitz_bound(p):

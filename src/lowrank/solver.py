@@ -16,7 +16,7 @@ import numpy as np
 
 from . import amfit, linalg, operators, prox
 from .amfit import FactorPair, FixedI, IncreasingI, Tolerance
-from .exceptions import DimensionError, DivergenceError
+from .exceptions import DimensionError, DivergenceError, NonFiniteError
 from .linalg import as_matrix
 
 #: Columns rc keeps above the rank of X, so that rank_x < r shows the
@@ -350,6 +350,35 @@ def _notes(cfg, gamma, L):
     return tuple(notes)
 
 
+def _gradient_step(p, X, X_prev, a, gamma):
+    """Gradient step Z = Y - gamma grad f(Y) from the extrapolation Y = X + a (X - X_prev).
+
+    With a = 0, Y is X itself and the extrapolation passes are skipped.
+    """
+    Y = X if a == 0.0 else X + a * (X - X_prev)
+    G = operators.gradient(p, Y)
+    G *= gamma
+    return Y - G
+
+
+def _diverged(step, X_new):
+    """Whether X_new has a non-finite entry, given step = |X_new - X| with X finite.
+
+    A finite step proves X_new finite, so its entries are read only when
+    the step is not finite.
+    """
+    return not np.isfinite(step) and not np.all(np.isfinite(X_new))
+
+
+def _divergence(what, trace):
+    """DivergenceError for `what` turning non-finite after the last finite record of trace."""
+    return DivergenceError(
+        f"{what} became non-finite at iteration {trace.iterations + 1} "
+        f"(gamma={trace.gamma:.3e}, L={trace.lipschitz:.3e})",
+        trace=trace,
+    )
+
+
 def _prox_residual(p, X, gamma):
     """Relative prox-gradient residual |X - SVT(X - g grad f(X), g tau)| / (g max(|X|, 1))."""
     Z = X - gamma * operators.gradient(p, X)
@@ -413,6 +442,10 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         rank read, the budget moves and the exit certificate. Only the
         opt-in diagnostics (the "full" trace objective and probe_exact_prox)
         are excluded.
+
+    Raises:
+        DivergenceError: the gradient step, the inner solve or the iterate
+            became non-finite; its trace holds the finite records before.
     """
     X = _check_start(p, X0)
     m, n = X.shape
@@ -440,31 +473,27 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     k = 0
     for k in range(1, cfg.stop.max_iter + 1):
         t0 = time.perf_counter()
-        a = inertial_value(cfg.rule, k, step_prev)
-        Y = X + a * (X - X_prev)
-        Z = Y - gamma * operators.gradient(p, Y)
+        Z = _gradient_step(p, X, X_prev, inertial_value(cfg.rule, k, step_prev), gamma)
         if not np.all(np.isfinite(Z)):
-            trace = SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L)
-            raise DivergenceError(
-                f"gradient step became non-finite at iteration {k} "
-                f"(gamma={gamma:.3e}, L={L:.3e})",
-                trace=trace,
-            )
+            raise _divergence("gradient step",
+                              SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L))
         policy = cfg.inner.resolve(k) if isinstance(cfg.inner, IncreasingI) else cfg.inner
         if pair.is_zero():
             # degenerate fixed point of the inner iteration; restart
             pair = amfit.random_pair(m, n, r, rng)
-        pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
+        try:
+            pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
+        except NonFiniteError as exc:
+            # Z is finite, so an overflow inside the alternating passes
+            elapsed += time.perf_counter() - t0
+            raise _divergence("inner solve", SolveTrace(
+                records, X, False, k - 1, elapsed, seed, gamma, L)) from exc
         X_new = pair.product()
         step = float(np.linalg.norm(X_new - X))
-        if not np.all(np.isfinite(X_new)):
+        if _diverged(step, X_new):
             elapsed += time.perf_counter() - t0
-            trace = SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L)
-            raise DivergenceError(
-                f"iterate became non-finite at iteration {k} "
-                f"(gamma={gamma:.3e}, L={L:.3e})",
-                trace=trace,
-            )
+            raise _divergence("iterate",
+                              SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L))
 
         hint = records[-1].rank_x if records else r
         rank_x = _sketched_rank(X_new, pair.U, pair.V, cont.rank_tol, hint, sketch_rng)
@@ -544,27 +573,17 @@ def pgd_solve(p, cfg, X0=None, seed=0):
     k = 0
     for k in range(1, cfg.stop.max_iter + 1):
         t0 = time.perf_counter()
-        a = inertial_value(cfg.rule, k, step_prev)
-        Y = X + a * (X - X_prev)
-        Z = Y - gamma * operators.gradient(p, Y)
+        Z = _gradient_step(p, X, X_prev, inertial_value(cfg.rule, k, step_prev), gamma)
         if not np.all(np.isfinite(Z)):
-            trace = SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L)
-            raise DivergenceError(
-                f"gradient step became non-finite at iteration {k} "
-                f"(gamma={gamma:.3e}, L={L:.3e})",
-                trace=trace,
-            )
+            raise _divergence("gradient step",
+                              SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L))
         X_new, rank_x = prox.svt_with_rank(Z, mu)
         step = float(np.linalg.norm(X_new - X))
         elapsed += time.perf_counter() - t0
 
-        if not np.all(np.isfinite(X_new)):
-            trace = SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L)
-            raise DivergenceError(
-                f"iterate became non-finite at iteration {k} "
-                f"(gamma={gamma:.3e}, L={L:.3e})",
-                trace=trace,
-            )
+        if _diverged(step, X_new):
+            raise _divergence("iterate",
+                              SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L))
 
         obj = operators.objective(p, X_new) if cfg.trace_level == "full" else float("nan")
         records.append(TraceRecord(k, elapsed, obj, step, rank_x, r_budget, 0))

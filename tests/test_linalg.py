@@ -5,24 +5,6 @@ from lowrank import linalg
 from lowrank.exceptions import DefinitenessError, DimensionError
 
 
-def test_frobenius_zero():
-    assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
-
-
-def test_frobenius_345():
-    assert linalg.frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0)
-
-
-def test_frobenius_matches_double_loop():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((10, 10))
-    acc = 0.0
-    for i in range(10):
-        for j in range(10):
-            acc += A[i, j] ** 2
-    assert linalg.frobenius_norm(A) == pytest.approx(np.sqrt(acc), rel=1e-12)
-
-
 def test_spd_solve_identity():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((4, 3))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowrank import operators
 from lowrank.exceptions import DegenerateProblemError, DimensionError
@@ -69,6 +70,78 @@ def test_adjoint_inner_product_identity():
             lhs = float(np.sum(apply(op, X) * R))
             rhs = float(np.sum(X * adjoint(op, R)))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+def wide(rng, shape):
+    """Signed entries whose magnitudes spread over 1e-5 to 1e5."""
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-5.0, 5.0, size=shape)
+
+
+def weights_with_zeros(rng, shape):
+    """Non-integer nonnegative weights, about a third of them zero, not all zero."""
+    W = rng.uniform(0.0, 3.0, size=shape) * (rng.random(shape) < 0.7)
+    W.flat[0] = 0.5
+    return W
+
+
+instances = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances, st.booleans())
+def test_gradient_matches_adjoint_apply_form(instance, masked):
+    m, n, seed = instance
+    rng = np.random.default_rng(seed)
+    if masked:
+        op = EntryMask((rng.random((m, n)) < 0.6).astype(float))
+    else:
+        op = Identity((m, n))
+    p = Problem(op, wide(rng, (m, n)), weights_with_zeros(rng, (m, n)), 1.0)
+    X = wide(rng, (m, n))
+    textbook = adjoint(op, (apply(op, X) - p.F) * p.W_tilde)
+    assert np.array_equal(gradient(p, X), textbook)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances, st.integers(1, 15), st.sampled_from(["identity", "mask", "sensing"]))
+def test_adjointness_property(instance, d, kind):
+    m, n, seed = instance
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        op = Identity((m, n))
+    elif kind == "mask":
+        op = EntryMask((rng.random((m, n)) < 0.6).astype(float))
+    else:
+        op = DenseSensing(rng.standard_normal((d, m * n)), (m, n))
+    X = wide(rng, op.domain_shape)
+    R = wide(rng, op.codomain_shape)
+    lhs = float(np.sum(apply(op, X) * R))
+    rhs = float(np.sum(X * adjoint(op, R)))
+    # relative to the Cauchy-Schwarz bound |<A X, R>| <= |A| |X| |R|
+    a_norm = np.linalg.norm(op.S) if kind == "sensing" else 1.0
+    assert abs(lhs - rhs) <= 1e-12 * a_norm * np.linalg.norm(X) * np.linalg.norm(R)
+
+
+def test_problem_caches_the_gradient_weights():
+    rng = np.random.default_rng(7)
+    W = rng.uniform(0.0, 2.0, size=(4, 3))
+    mask = (rng.random((4, 3)) < 0.5).astype(float)
+    F = np.zeros((4, 3))
+    p = Problem(Identity((4, 3)), F, W, 1.0)
+    assert p.W_bar is p.W_tilde
+    p = Problem(EntryMask(mask), F, W, 1.0)
+    np.testing.assert_array_equal(p.W_bar, mask * W * W)
+    p = Problem(DenseSensing(rng.standard_normal((5, 12)), (4, 3)), np.zeros((5, 1)),
+                np.ones((5, 1)), 1.0)
+    assert p.W_bar is None
+
+
+def test_gradient_shape_check():
+    p = Problem(EntryMask(np.ones((3, 3))), np.ones((3, 3)), np.ones((3, 3)), 1.0)
+    with pytest.raises(DimensionError):
+        gradient(p, np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        gradient(p, np.full((3, 3), np.inf))
 
 
 def test_problem_validation():

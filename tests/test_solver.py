@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lowrank import problems, solver
-from lowrank.amfit import FixedI, Tolerance
+from lowrank import amfit, operators, problems, solver
+from lowrank.amfit import FactorPair, FixedI, Tolerance
 from lowrank.exceptions import DivergenceError
 from lowrank.linalg import DEFAULT_RANK_TOL, numerical_rank
 from lowrank.operators import Identity, Problem
@@ -438,10 +438,70 @@ def test_rc_grows_from_its_small_start_to_the_optimum(case, extra):
 def test_divergent_step_raises():
     p, _ = small_completion_problem()
     L = 1.0  # unit weights, mask operator
-    cfg = SolverConfig(gamma=50.0 / L, stop=Stopping(0.0, 0.0, 5000))
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc_info:
-        pgd_solve(p, cfg)
-    assert exc_info.value.trace is not None
+    for solve, continuation in ((pgd_solve, False), (prograamme_solve, False),
+                                (prograamme_solve, True)):
+        cfg = SolverConfig(gamma=50.0 / L, stop=Stopping(0.0, 0.0, 5000),
+                           continuation=Continuation(enabled=continuation))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError, match="became non-finite") as exc_info:
+            solve(p, cfg)
+        trace = exc_info.value.trace
+        assert trace is not None and len(trace.records) == trace.iterations > 0
+
+
+def test_overflowing_product_of_finite_factors_raises(monkeypatch):
+    # the factors are finite but their product is not: the step norm is then
+    # not finite either, and that alone must lead to the check of X
+    p, _ = small_completion_problem()
+
+    def overflowing(Z, mu, start, policy):
+        return FactorPair(np.full(start.U.shape, 1e200), np.full(start.V.shape, 1e200)), 1
+
+    monkeypatch.setattr(amfit, "inner_solve", overflowing)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="iterate became non-finite at iteration 1 ") as exc_info:
+        prograamme_solve(p, SolverConfig(r=4))
+    trace = exc_info.value.trace
+    assert trace is not None and trace.records == [] and trace.iterations == 0
+
+
+def textbook_gradient(p, X):
+    return operators.adjoint(p.op, (operators.apply(p.op, X) - p.F) * p.W_tilde)
+
+
+def test_gradient_step_leaves_solves_bit_identical(monkeypatch):
+    spec = problems.SyntheticSpec(
+        40, 30, 3, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.5,
+        weights=problems.LargeOnSupport(0.2, 1.5, 4.0), seed=5,
+    )
+    gen = problems.generate_full(spec)
+    p = gen.problem(gen.noise_norm)
+    stop = Stopping(1e-8, 0.0, 150)
+    runs = [
+        lambda: prograamme_solve(p, SolverConfig(r=12, stop=stop), seed=1),
+        lambda: prograamme_solve(p, SolverConfig(r=12, stop=stop, rule=Constant(0.5)), seed=1),
+        lambda: prograamme_solve(p, SolverConfig(r=12, stop=stop,
+                                                 continuation=Continuation(enabled=True)), seed=1),
+        lambda: prograamme_solve(p, SolverConfig(r=12, stop=stop, rule=Constant(0.5),
+                                                 continuation=Continuation(enabled=True)), seed=1),
+        lambda: pgd_solve(p, SolverConfig(stop=stop)),
+        lambda: pgd_solve(p, SolverConfig(stop=stop, rule=FistaLike(20))),
+    ]
+
+    def outcome(run):
+        trace = run()
+        rows = [(rec.k, rec.step_norm, rec.rank_x, rec.r, rec.inner_iters)
+                for rec in trace.records]
+        return rows, trace.notes, trace.converged, trace.X
+
+    shipped = [outcome(run) for run in runs]
+    monkeypatch.setattr(operators, "gradient", textbook_gradient)
+    for (rows, notes, converged, X), run in zip(shipped, runs):
+        ref_rows, ref_notes, ref_converged, ref_X = outcome(run)
+        assert rows == ref_rows
+        assert notes == ref_notes
+        assert converged == ref_converged
+        assert np.array_equal(X, ref_X)
 
 
 def test_trace_is_deterministic():
