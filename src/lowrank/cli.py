@@ -161,13 +161,15 @@ def run_solver(algorithm, problem, cfg, X0=None, seed=0):
     raise LowRankError(f"unknown algorithm {algorithm!r}")
 
 
-def _summary_extras(algorithm, cfg, tau):
-    extras = {"tau": tau, "version": __version__}
+def _write_run(out, trace, cfg, algorithm, tau):
+    """Write trace.csv and summary.json of one finished solve into `out`."""
+    trace.write_csv(out / "trace.csv")
+    summary = trace.summary(cfg, algorithm)
+    summary.update({"tau": tau, "version": __version__})
     if isinstance(cfg.rule, FistaLike):
-        d = cfg.rule.d
-        d_str = f"{d:g}"
-        extras["inertial_rule"] = f"a_k = (k-1)/(k+{d_str})"
-    return extras
+        summary["inertial_rule"] = f"a_k = (k-1)/(k+{cfg.rule.d:g})"
+    with open(out / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2)
 
 
 def solve_once(problem_dir, config, algorithm, out_dir, seed=None, trace_level=None):
@@ -184,11 +186,7 @@ def solve_once(problem_dir, config, algorithm, out_dir, seed=None, trace_level=N
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace.write_csv(out / "trace.csv")
-    summary = trace.summary(cfg, algorithm)
-    summary.update(_summary_extras(algorithm, cfg, tau))
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_run(out, trace, cfg, algorithm, tau)
     run_manifest = {
         "version": __version__,
         "algorithm": algorithm,
@@ -245,11 +243,7 @@ def run_bench(suite, out_dir, repeats, seed=None):
                 if exc.trace is not None:
                     exc.trace.write_csv(rep_dir / "trace.csv")
                 continue
-            trace.write_csv(rep_dir / "trace.csv")
-            summary = trace.summary(cfg, algorithm)
-            summary.update(_summary_extras(algorithm, cfg, tau))
-            with open(rep_dir / "summary.json", "w") as fh:
-                json.dump(summary, fh, indent=2)
+            _write_run(rep_dir, trace, cfg, algorithm, tau)
             times.append(trace.seconds)
             iters.append(trace.iterations)
             ranks.append(trace.final_rank)

@@ -93,6 +93,12 @@ class DenseSensing:
 
     @property
     def operator_norm(self):
+        """Upper bound on sigma_1(S), computed once and cached.
+
+        Calls linalg.spectral_norm through the module, so a wrapper on that
+        name sees the call. The bound exceeds sigma_1(S) by a relative
+        1e-10 at most.
+        """
         if self._norm_cache[0] is None:
             self._norm_cache[0] = linalg.spectral_norm(self.S)
         return self._norm_cache[0]
@@ -208,11 +214,13 @@ def gradient(p, X):
 
 
 def lipschitz_bound(p):
-    """Lipschitz constant of the loss gradient.
+    """Upper bound on the Lipschitz constant of the loss gradient.
 
     Equals the squared operator norm times the largest squared weight. The
-    identity and mask operators have unit norm; dense sensing uses the
-    spectral norm of the sensing matrix.
+    identity and mask operators have unit norm; dense sensing uses an upper
+    bound on the spectral norm of the sensing matrix, at most 1e-10 above
+    it relatively. So gamma = 1/L never exceeds the step bound 1/L of the
+    convergence theory.
     """
     w_max = float(np.max(p.W_tilde))
     if w_max == 0.0:

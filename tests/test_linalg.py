@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowrank import linalg
-from lowrank.exceptions import DefinitenessError, DimensionError
+from lowrank.exceptions import DefinitenessError, DimensionError, NumericalError
 
 
 def test_spd_solve_identity():
@@ -133,6 +134,71 @@ def test_spectral_norm_below_frobenius():
     for _ in range(20):
         A = rng.standard_normal((7, 9))
         assert linalg.spectral_norm(A) <= np.linalg.norm(A) * (1 + 1e-12)
+
+
+def _with_singular_values(rng, m, n, s):
+    """An m x n matrix with the given singular values and random singular vectors."""
+    k = min(m, n)
+    P, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return (P * np.asarray(s, dtype=float)[:k]) @ Q.T
+
+
+@st.composite
+def spectral_cases(draw):
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(
+        ["gaussian", "rank1", "repeated_top", "few_distinct", "small_gap"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(m, n)
+    if kind == "gaussian":
+        A = rng.standard_normal((m, n))
+    elif kind == "rank1":
+        A = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    elif kind == "repeated_top":
+        A = _with_singular_values(rng, m, n, [2.0] * 3 + list(rng.uniform(0, 1, k)))
+    elif kind == "few_distinct":
+        A = _with_singular_values(rng, m, n, [3.0] * (k - k // 2) + [1.0] * (k // 2))
+    else:
+        gap = 10.0 ** draw(st.integers(-8, -2))
+        tail = np.sort(rng.uniform(0, 1 - gap, k))[::-1]
+        A = _with_singular_values(rng, m, n, [1.0] + list(tail))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    return A * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectral_cases())
+def test_spectral_norm_is_a_tight_upper_bound(A):
+    s1 = np.linalg.svd(A, compute_uv=False)[0]
+    if s1 == 0.0:
+        assert linalg.spectral_norm(A) == 0.0
+        return
+    assert s1 <= linalg.spectral_norm(A) <= s1 * (1 + 1e-10)
+
+
+def test_spectral_norm_not_below_sigma1_on_gaussian():
+    # a Gaussian spectrum has almost no gap at its top edge; power
+    # iteration stopped about 9e-10 below sigma_1 here
+    A = np.random.default_rng(300).standard_normal((300, 900))
+    s1 = np.linalg.svd(A, compute_uv=False)[0]
+    assert s1 <= linalg.spectral_norm(A) <= s1 * (1 + 1e-10)
+
+
+def test_spectral_norm_not_below_sigma1_on_two_values():
+    # a two-dimensional Krylov space: Lanczos stops after two steps with
+    # theta exact to rounding, where power iteration read 2.999999999999790
+    A = np.diag([3.0] * 5 + [1.0] * 5)
+    assert 3.0 <= linalg.spectral_norm(A) <= 3.0 * (1 + 1e-10)
+
+
+def test_spectral_norm_raises_when_steps_run_out():
+    A = np.random.default_rng(14).standard_normal((50, 80))
+    with pytest.raises(NumericalError):
+        linalg.spectral_norm(A, max_iter=2)
+    with pytest.raises(ValueError):
+        linalg.spectral_norm(A, max_iter=0)
 
 
 def test_csv_roundtrip(tmp_path):

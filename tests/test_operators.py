@@ -218,6 +218,17 @@ def test_lipschitz_sampled_inequality():
             assert lhs <= L * np.linalg.norm(X - Y) * (1 + 1e-10)
 
 
+def test_lipschitz_bound_is_an_upper_bound_for_sensing():
+    # L = sigma_1(S)^2 * max W_tilde must not fall short; a spectral norm
+    # read from below would make the step 1/L too long
+    rng = np.random.default_rng(300)
+    op = DenseSensing(rng.standard_normal((300, 900)), (30, 30))
+    W = rng.uniform(0.5, 2.0, size=op.codomain_shape)
+    p = Problem(op, rng.standard_normal(op.codomain_shape), W, 1.0)
+    s1 = np.linalg.svd(op.S, compute_uv=False)[0]
+    assert lipschitz_bound(p) >= s1 ** 2 * np.max(W * W)
+
+
 def test_objective_zero():
     p = Problem(Identity((3, 3)), np.zeros((3, 3)), np.ones((3, 3)), 2.0)
     assert objective(p, np.zeros((3, 3))) == 0.0
