@@ -89,8 +89,8 @@ def update_U(Z, V, mu):
     V = as_matrix(V, "V")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    r = V.shape[0]
-    G = V @ V.T + mu * np.eye(r)
+    G = V @ V.T
+    G.flat[::G.shape[0] + 1] += mu  # the diagonal, in place
     return spd_solve(G, V @ Z.T).T
 
 
@@ -100,8 +100,8 @@ def update_V(Z, U, mu):
     U = as_matrix(U, "U")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    r = U.shape[1]
-    G = U.T @ U + mu * np.eye(r)
+    G = U.T @ U
+    G.flat[::G.shape[0] + 1] += mu
     return spd_solve(G, U.T @ Z)
 
 

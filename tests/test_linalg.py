@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowrank import linalg
-from lowrank.exceptions import DefinitenessError, DimensionError, NumericalError
+from lowrank.exceptions import (DefinitenessError, DimensionError, NonFiniteError,
+                                 NumericalError)
 
 
 def test_spd_solve_identity():
@@ -43,6 +44,85 @@ def test_spd_solve_ill_conditioned():
 def test_spd_solve_rejects_indefinite():
     with pytest.raises(DefinitenessError):
         linalg.spd_solve(np.diag([1.0, -1.0]), np.ones((2, 1)))
+
+
+EPS = np.finfo(float).eps
+LEAF = linalg._INV_LEAF
+
+
+def _with_eigenvalues(rng, d):
+    """A symmetric matrix with eigenvalues d and random eigenvectors."""
+    Q, _ = np.linalg.qr(rng.standard_normal((len(d), len(d))))
+    G = (Q * d) @ Q.T
+    return 0.5 * (G + G.T)
+
+
+def _refined_solve(G, B):
+    """G^-1 B to about working precision, by LU and refinement whose
+    residuals are formed in extended precision."""
+    Y = np.linalg.solve(G, B)
+    Gx = G.astype(np.longdouble)
+    for _ in range(3):
+        Y = Y + np.linalg.solve(G, (B - Gx @ Y).astype(float))
+    return Y
+
+
+# r covers both sides of the leaf of the recursive inverse and an odd split
+sizes = st.one_of(st.integers(1, 160), st.sampled_from([LEAF, LEAF + 1, 2 * LEAF + 1]))
+
+
+@st.composite
+def spd_systems(draw):
+    r = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = np.logspace(0, -draw(st.integers(0, 12)), r)
+    G = _with_eigenvalues(rng, d)
+    B = rng.standard_normal((r, draw(st.integers(1, 70))))
+    if draw(st.booleans()):
+        # right-hand sides along the top of G's spectrum, as V Z^T is for
+        # G = V V^T + mu I; here an explicit inverse of G loses its accuracy
+        B = G @ B
+    return G * 10.0 ** draw(st.integers(-50, 50)), B * 10.0 ** draw(st.integers(-50, 50))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="the reference solution needs an extended long double")
+@settings(max_examples=200, deadline=None)
+@given(spd_systems())
+def test_spd_solve_is_as_accurate_as_lu(system):
+    G, B = system
+    r = G.shape[0]
+    Y = linalg.spd_solve(G, B)
+    # backward stable: the residual is that of an exact solve of a nearby G
+    assert np.linalg.norm(G @ Y - B) <= 4 * r * EPS * np.linalg.norm(G) * np.linalg.norm(Y)
+    # forward error within a small factor of LU's, or of the cond(G) eps that
+    # bounds it; at r below about 32 LU often lands far under that bound
+    exact = _refined_solve(G, B)
+    err = np.linalg.norm(Y - exact) / np.linalg.norm(exact)
+    lu_err = np.linalg.norm(np.linalg.solve(G, B) - exact) / np.linalg.norm(exact)
+    assert err <= 4 * max(lu_err, np.linalg.cond(G) * EPS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes.filter(lambda r: r > 1), st.integers(0, 8), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_spd_solve_rejects_any_negative_direction(r, depth, trailing, seed):
+    # one eigenvalue -10^-depth against a top of 1; with `trailing` the
+    # negative direction lies wholly in the trailing diagonal block, which a
+    # blockwise inverse reaches only through a Schur complement
+    rng = np.random.default_rng(seed)
+    d = np.logspace(0, -3, r)
+    d[rng.integers(r)] = -10.0 ** -depth
+    if trailing:
+        h = r // 2
+        d = np.sort(d)[::-1]
+        G = np.zeros((r, r))
+        G[:h, :h] = _with_eigenvalues(rng, d[:h])
+        G[h:, h:] = _with_eigenvalues(rng, d[h:])
+    else:
+        G = _with_eigenvalues(rng, d)
+    with pytest.raises(DefinitenessError):
+        linalg.spd_solve(G, rng.standard_normal((r, 3)))
 
 
 def test_thin_svd_diagonal():
@@ -199,6 +279,19 @@ def test_spectral_norm_raises_when_steps_run_out():
         linalg.spectral_norm(A, max_iter=2)
     with pytest.raises(ValueError):
         linalg.spectral_norm(A, max_iter=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError), (np.inf, NonFiniteError),
+                                        (-np.inf, NonFiniteError), (1e200, NumericalError)])
+def test_spectral_norm_tells_non_finite_from_overflow(bad, error):
+    A = np.random.default_rng(15).standard_normal((30, 50))
+    for i, j in [(0, 0), (29, 49), (7, 3)]:
+        B = A.copy()
+        B[i, j] = bad
+        for M in (B, B.T):
+            with pytest.raises(error):
+                linalg.spectral_norm(M)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lowrank import amfit, operators, problems, solver
+from lowrank import amfit, linalg, operators, problems, solver
 from lowrank.amfit import FactorPair, FixedI, Tolerance
 from lowrank.exceptions import DivergenceError
 from lowrank.linalg import DEFAULT_RANK_TOL, numerical_rank
@@ -502,6 +502,39 @@ def test_gradient_step_leaves_solves_bit_identical(monkeypatch):
         assert notes == ref_notes
         assert converged == ref_converged
         assert np.array_equal(X, ref_X)
+
+
+def lu_spd_solve(G, B):
+    """The Cholesky check plus LU solve that spd_solve used before it
+    applied the inverse of its Cholesky factor."""
+    np.linalg.cholesky(G)
+    return np.linalg.solve(G, B)
+
+
+def test_spd_kernel_leaves_solves_unchanged(monkeypatch):
+    # r=100 is above the leaf of the recursive inverse, so plain runs every
+    # SPD solve through GEMM blocks, and rc's budget grows from its small start
+    assert 100 > linalg._INV_LEAF
+    spec = problems.SyntheticSpec(
+        150, 150, 6, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.5, seed=9
+    )
+    gen = problems.generate_full(spec)
+    p = gen.problem(gen.noise_norm)
+    stop = Stopping(1e-8, 0.0, 500)
+    cfgs = [SolverConfig(r=100, stop=stop, continuation=Continuation(enabled=rc))
+            for rc in (False, True)]
+
+    def outcome(cfg):
+        trace = prograamme_solve(p, cfg, seed=1)
+        assert trace.converged
+        return trace.iterations, trace.column("rank_x"), trace.column("r"), trace.notes, trace.X
+
+    shipped = [outcome(cfg) for cfg in cfgs]
+    monkeypatch.setattr(amfit, "spd_solve", lu_spd_solve)
+    for (iters, rank_x, r, notes, X), cfg in zip(shipped, cfgs):
+        ref_iters, ref_rank_x, ref_r, ref_notes, ref_X = outcome(cfg)
+        assert (iters, rank_x, r, notes) == (ref_iters, ref_rank_x, ref_r, ref_notes)
+        assert np.linalg.norm(X - ref_X) <= 1e-10 * np.linalg.norm(ref_X)
 
 
 def test_trace_is_deterministic():
