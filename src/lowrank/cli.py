@@ -64,7 +64,6 @@ def build_solver_config(cfg, algorithm, trace_level=None):
         continuation=cont,
         stop=Stopping(**cfg.get("stop", {})),
         trace_level=trace_level or cfg.get("trace_level", "light"),
-        probe_exact_prox=bool(cfg.get("probe_exact_prox", False)),
     )
 
 
@@ -335,11 +334,11 @@ def cmd_solve(problem_dir, config_file, algorithm, out_dir, seed, trace_level):
     except OSError as exc:
         _fail(EXIT_IO, str(exc))
     if not trace.converged:
-        click.echo(f"did not converge within {trace.iterations} iterations")
-        sys.exit(EXIT_NO_CONVERGENCE)
-    if not trace.certified:
-        click.echo(f"stopped after {trace.iterations} iterations on a binding rank "
-                   f"budget; prox-gradient residual {trace.exit_residual:.2e}")
+        if trace.exit_residual is not None:
+            click.echo(f"stopped after {trace.iterations} iterations on a binding rank "
+                       f"budget; prox-gradient residual {trace.exit_residual:.2e}")
+        else:
+            click.echo(f"did not converge within {trace.iterations} iterations")
         sys.exit(EXIT_NO_CONVERGENCE)
     click.echo(f"converged in {trace.iterations} iterations "
                f"(final rank {trace.final_rank})")

@@ -181,7 +181,9 @@ def spectral_norm(A, rel_tol=1e-10, max_iter=10000):
     # single small matvec instead of two large ones
     if A.shape[0] > A.shape[1]:
         A = A.T
-    G = A @ A.T
+    # an overflow or a non-finite entry is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A @ A.T
     # unit largest diagonal keeps the norms inside Lanczos finite and nonzero
     scale = float(G.diagonal().max())
     if not 0.0 < scale < np.inf:

@@ -3,8 +3,11 @@
 prograamme_solve runs the SVD-free proximal-gradient / alternating
 minimization scheme, optionally with adaptive rank continuation.
 pgd_solve is the SVD-based baseline (plain proximal gradient descent or,
-with a FISTA-like inertial rule, the FISTA baseline). Both record a
-per-iteration trace and share the stopping logic.
+with a FISTA-like inertial rule, the FISTA baseline). Both run one outer
+loop, _solve: extrapolate, take a gradient step, apply the prox step,
+check for divergence, stop on the step norm and record a trace. Only the
+prox step differs: the factored inner solve with its rank read and rank
+budget, or the exact SVT.
 """
 
 import csv
@@ -147,7 +150,6 @@ class SolverConfig:
     continuation: Continuation = field(default_factory=Continuation)
     stop: Stopping = field(default_factory=Stopping)
     trace_level: str = "light"
-    probe_exact_prox: bool = False
 
     def __post_init__(self):
         if self.gamma is not None and self.gamma <= 0.0:
@@ -170,7 +172,6 @@ class TraceRecord:
     rank_x: int
     r: int
     inner_iters: int
-    rank_exact_prox: int = None
 
 
 @dataclass
@@ -191,11 +192,6 @@ class SolveTrace:
     @property
     def final_rank(self):
         return self.records[-1].rank_x if self.records else 0
-
-    @property
-    def certified(self):
-        """False when the run ended on a binding rank budget that failed its certificate."""
-        return self.exit_residual is None or self.exit_residual <= _EXIT_RESIDUAL_TOL
 
     def column(self, name):
         return [getattr(rec, name) for rec in self.records]
@@ -335,21 +331,6 @@ def _check_start(p, X0):
     return X0.copy()
 
 
-def _resolve_gamma(p, cfg):
-    L = operators.lipschitz_bound(p)
-    gamma = cfg.gamma if cfg.gamma is not None else 1.0 / L
-    return gamma, L
-
-def _notes(cfg, gamma, L):
-    notes = []
-    if isinstance(cfg.rule, FistaLike) and gamma * L >= 1.0:
-        notes.append(
-            "step size meets or exceeds the classical FISTA bound 1/L; "
-            "convergence is empirical only"
-        )
-    return tuple(notes)
-
-
 def _gradient_step(p, X, X_prev, a, gamma):
     """Gradient step Z = Y - gamma grad f(Y) from the extrapolation Y = X + a (X - X_prev).
 
@@ -368,15 +349,6 @@ def _diverged(step, X_new):
     the step is not finite.
     """
     return not np.isfinite(step) and not np.all(np.isfinite(X_new))
-
-
-def _divergence(what, trace):
-    """DivergenceError for `what` turning non-finite after the last finite record of trace."""
-    return DivergenceError(
-        f"{what} became non-finite at iteration {trace.iterations + 1} "
-        f"(gamma={trace.gamma:.3e}, L={trace.lipschitz:.3e})",
-        trace=trace,
-    )
 
 
 def _prox_residual(p, X, gamma):
@@ -421,9 +393,8 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     rank of the optimum. The budget binds when the rank of X equals r, and
     an exit on a binding budget is certified by the prox-gradient residual
     (SolveTrace.exit_residual). Above _EXIT_RESIDUAL_TOL the run notes that
-    X is not the optimum and SolveTrace.certified is False; rc then grows
-    and goes on if it can, and otherwise ends with converged False, while
-    plain keeps converged True for the fixed point of its rank-r scheme.
+    X is not the optimum; rc then grows and goes on if it can, and
+    otherwise the run ends with converged False, plain and rc alike.
 
     With cfg.continuation.enabled (rc), r starts at _RANK_MARGIN and
     adapts, capped at cfg.r: once the rank of X has held for cadence
@@ -440,67 +411,100 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     Returns:
         SolveTrace. Elapsed times cover the whole iteration, including the
         rank read, the budget moves and the exit certificate. Only the
-        opt-in diagnostics (the "full" trace objective and probe_exact_prox)
-        are excluded.
+        opt-in "full" trace objective is excluded.
 
     Raises:
         DivergenceError: the gradient step, the inner solve or the iterate
             became non-finite; its trace holds the finite records before.
     """
+    return _solve(p, cfg, X0, seed, exact=False)
+
+
+def pgd_solve(p, cfg, X0=None, seed=0):
+    """SVD-based inertial proximal gradient descent baseline.
+
+    Runs the outer loop of prograamme_solve with the proximal step computed
+    exactly by singular value thresholding. With rule Zero this is plain
+    PGD; with a FistaLike rule it is the FISTA baseline. The budget r is
+    min(m, n) and never binds, grows or is cut: cfg.r, cfg.inner and
+    cfg.continuation are ignored, and seed only labels the trace.
+    """
+    return _solve(p, cfg, X0, seed, exact=True)
+
+
+def _solve(p, cfg, X0, seed, exact):
+    """The proximal-gradient loop of both solvers; exact picks the SVT prox step."""
     X = _check_start(p, X0)
     m, n = X.shape
-    gamma, L = _resolve_gamma(p, cfg)
+    L = operators.lipschitz_bound(p)
+    gamma = cfg.gamma if cfg.gamma is not None else 1.0 / L
     mu = p.tau * gamma
-    rng = np.random.default_rng(seed)
-    # the rank sketch and the growth steps draw from generators of their
-    # own so that the cold-start restarts do not move; a certified read
-    # does not depend on its draws
-    sketch_rng = np.random.default_rng(0)
-    grow_rng = np.random.default_rng(1)
     cont = cfg.continuation
-    r_cap = min(cfg.r, m, n)
-    r = min(r_cap, _RANK_MARGIN) if cont.enabled else r_cap
-    pair = amfit.random_pair(m, n, r, rng)
+    adaptive = cont.enabled and not exact
+    if exact:
+        r = r_cap = min(m, n)
+    else:
+        rng = np.random.default_rng(seed)
+        # the rank sketch and the growth steps draw from generators of their
+        # own so that the cold-start restarts do not move; a certified read
+        # does not depend on its draws
+        sketch_rng = np.random.default_rng(0)
+        grow_rng = np.random.default_rng(1)
+        r_cap = min(cfg.r, m, n)
+        r = min(r_cap, _RANK_MARGIN) if adaptive else r_cap
+        pair = amfit.random_pair(m, n, r, rng)
 
     X_prev = X
     step_prev = 0.0
     records = []
-    moves = []
+    notes = []
+    if isinstance(cfg.rule, FistaLike) and gamma * L >= 1.0:
+        notes.append("step size meets or exceeds the classical FISTA bound 1/L; "
+                     "convergence is empirical only")
     held = 0
     residual = None
     elapsed = 0.0
     converged = False
+
+    def divergence(what):
+        """DivergenceError for `what` in iteration k, with the finite records before it."""
+        trace = SolveTrace(records, X, False, k - 1, elapsed + time.perf_counter() - t0,
+                           seed, gamma, L)
+        return DivergenceError(f"{what} became non-finite at iteration {k} "
+                               f"(gamma={gamma:.3e}, L={L:.3e})", trace=trace)
+
     k = 0
     for k in range(1, cfg.stop.max_iter + 1):
         t0 = time.perf_counter()
         Z = _gradient_step(p, X, X_prev, inertial_value(cfg.rule, k, step_prev), gamma)
         if not np.all(np.isfinite(Z)):
-            raise _divergence("gradient step",
-                              SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L))
-        policy = cfg.inner.resolve(k) if isinstance(cfg.inner, IncreasingI) else cfg.inner
-        if pair.is_zero():
-            # degenerate fixed point of the inner iteration; restart
-            pair = amfit.random_pair(m, n, r, rng)
-        try:
-            pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
-        except NonFiniteError as exc:
-            # Z is finite, so an overflow inside the alternating passes
-            elapsed += time.perf_counter() - t0
-            raise _divergence("inner solve", SolveTrace(
-                records, X, False, k - 1, elapsed, seed, gamma, L)) from exc
-        X_new = pair.product()
+            raise divergence("gradient step")
+        if exact:
+            X_new, rank_x = prox.svt_with_rank(Z, mu)
+            inner_iters = 0
+        else:
+            policy = cfg.inner.resolve(k) if isinstance(cfg.inner, IncreasingI) else cfg.inner
+            if pair.is_zero():
+                # degenerate fixed point of the inner iteration; restart
+                pair = amfit.random_pair(m, n, r, rng)
+            try:
+                pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
+            except NonFiniteError as exc:
+                # Z is finite, so an overflow inside the alternating passes
+                raise divergence("inner solve") from exc
+            X_new = pair.product()
         step = float(np.linalg.norm(X_new - X))
         if _diverged(step, X_new):
-            elapsed += time.perf_counter() - t0
-            raise _divergence("iterate",
-                              SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L))
+            raise divergence("iterate")
 
-        hint = records[-1].rank_x if records else r
-        rank_x = _sketched_rank(X_new, pair.U, pair.V, cont.rank_tol, hint, sketch_rng)
-        if rank_x is None:
-            rank_x = _factored_rank(pair.U, pair.V, cont.rank_tol)
+        if not exact:
+            hint = records[-1].rank_x if records else r
+            rank_x = _sketched_rank(X_new, pair.U, pair.V, cont.rank_tol, hint, sketch_rng)
+            if rank_x is None:
+                rank_x = _factored_rank(pair.U, pair.V, cont.rank_tol)
         held = held + 1 if records and records[-1].rank_x == rank_x else 1
-        binding = rank_x == r
+        # the exact step's budget min(m, n) is no constraint, even when X fills it
+        binding = not exact and rank_x == r
         stop = step <= cfg.stop.step_tol or (
             cfg.stop.rel_step_tol > 0.0
             and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X)), 1.0)
@@ -509,7 +513,7 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
             residual = _prox_residual(p, X_new, gamma)
         uncertified = residual is not None and residual > _EXIT_RESIDUAL_TOL
         grown = None
-        if (cont.enabled and binding and r < r_cap
+        if (adaptive and binding and r < r_cap
                 and (uncertified or (held >= cont.cadence and not stop))):
             grown = _grow_factors(Z - X_new, mu, pair, r_cap, grow_rng)
             # whether or not it adds columns, the next attempt waits for
@@ -518,83 +522,31 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         if grown is not None:
             # the rank of X fills the budget: add the residual's missing
             # SVT terms as new columns and go on
-            moves.append(f"rank budget grown from {r} to {grown.r} at iteration {k}")
+            notes.append(f"rank budget grown from {r} to {grown.r} at iteration {k}")
             pair, r, residual, stop = grown, grown.r, None, False
-        elif cont.enabled and held >= cont.cadence and rank_x + _RANK_MARGIN < r:
+        elif adaptive and held >= cont.cadence and rank_x + _RANK_MARGIN < r:
             # the rank of X has settled below the budget: drop the factor
             # columns that carry nothing beyond rank_tol, keeping a margin
             new_r = rank_x + _RANK_MARGIN
             pair = truncate_factors(pair.U, pair.V, new_r)
-            moves.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
+            notes.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
             r = new_r
         elif uncertified:
-            moves.append(
+            notes.append(
                 f"rank budget r={r} binds at exit: prox-gradient residual "
                 f"{residual:.2e} > {_EXIT_RESIDUAL_TOL:.0e}, so X is not the "
                 "optimum; a larger r is needed"
             )
-            # rc runs until its budget is certified, so it has not converged;
-            # plain has reached a fixed point of its rank-r scheme
-            stop = not cont.enabled
         elapsed += time.perf_counter() - t0
 
         obj = operators.objective(p, X_new) if cfg.trace_level == "full" else float("nan")
-        rank_R = None
-        if cfg.probe_exact_prox:
-            _, rank_R = prox.svt_with_rank(Z, mu)
-        records.append(TraceRecord(k, elapsed, obj, step, rank_x, r, inner_iters, rank_R))
+        records.append(TraceRecord(k, elapsed, obj, step, rank_x, r, inner_iters))
 
         X_prev, X, step_prev = X, X_new, step
-        if stop or residual is not None:
-            converged = stop
+        if stop:
+            # an exit on a binding budget that fails its certificate has not converged
+            converged = not uncertified
             break
 
     return SolveTrace(records, X, converged, k, elapsed, seed, gamma, L,
-                      notes=_notes(cfg, gamma, L) + tuple(moves), exit_residual=residual)
-
-
-def pgd_solve(p, cfg, X0=None, seed=0):
-    """SVD-based inertial proximal gradient descent baseline.
-
-    Identical outer loop to prograamme_solve but the proximal step is
-    computed exactly by singular value thresholding. With rule Zero this
-    is plain PGD; with a FistaLike rule it is the FISTA baseline.
-    """
-    X = _check_start(p, X0)
-    gamma, L = _resolve_gamma(p, cfg)
-    mu = p.tau * gamma
-    r_budget = min(X.shape)
-
-    X_prev = X
-    step_prev = 0.0
-    records = []
-    elapsed = 0.0
-    converged = False
-    k = 0
-    for k in range(1, cfg.stop.max_iter + 1):
-        t0 = time.perf_counter()
-        Z = _gradient_step(p, X, X_prev, inertial_value(cfg.rule, k, step_prev), gamma)
-        if not np.all(np.isfinite(Z)):
-            raise _divergence("gradient step",
-                              SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L))
-        X_new, rank_x = prox.svt_with_rank(Z, mu)
-        step = float(np.linalg.norm(X_new - X))
-        elapsed += time.perf_counter() - t0
-
-        if _diverged(step, X_new):
-            raise _divergence("iterate",
-                              SolveTrace(records, X, False, k - 1, elapsed, seed, gamma, L))
-
-        obj = operators.objective(p, X_new) if cfg.trace_level == "full" else float("nan")
-        records.append(TraceRecord(k, elapsed, obj, step, rank_x, r_budget, 0))
-
-        X_prev, X, step_prev = X, X_new, step
-        if step <= cfg.stop.step_tol or (
-            cfg.stop.rel_step_tol > 0.0
-            and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X_prev)), 1.0)
-        ):
-            converged = True
-            break
-
-    return SolveTrace(records, X, converged, k, elapsed, seed, gamma, L,
-                      notes=_notes(cfg, gamma, L))
+                      notes=tuple(notes), exit_residual=residual)

@@ -312,8 +312,10 @@ def test_weight_conditioning_sweep():
                    5 * 10**6, 10**7]
     base = SyntheticSpec(100, 100, 5, noise=AdditiveGaussian(1.0),
                          weights=UniformInt(1, 10), seed=21)
+    # at tau = 10 w_max^2 the optimum has rank 5 at every w_max, inside the
+    # budget r=10, so each factored run must stop below its budget
     sweep = problems.condition_number_sweep(
-        base, max_weights, tau=lambda w: 1e-2 / w**2
+        base, max_weights, tau=lambda w: 10.0 * w**2
     )
     prog_iters, pgd_iters, kappas = [], [], []
     for (p, kappa), w_max in zip(sweep, max_weights):
@@ -327,6 +329,7 @@ def test_weight_conditioning_sweep():
             p, SolverConfig(stop=Stopping(0.0, rel_step_tol=1e-4, max_iter=2000))
         )
         assert prog.converged, f"factored solver stalled at w_max={w_max}"
+        assert prog.exit_residual is None, f"budget binds at w_max={w_max}"
         prog_iters.append(prog.iterations)
         pgd_iters.append(pgd.iterations)
         kappas.append(kappa)

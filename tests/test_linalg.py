@@ -281,7 +281,7 @@ def test_spectral_norm_raises_when_steps_run_out():
         linalg.spectral_norm(A, max_iter=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad, error", [(np.nan, NonFiniteError), (np.inf, NonFiniteError),
                                         (-np.inf, NonFiniteError), (1e200, NumericalError)])
 def test_spectral_norm_tells_non_finite_from_overflow(bad, error):

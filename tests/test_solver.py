@@ -338,7 +338,7 @@ def test_continuation_shrinks_budget_monotonically():
             stop=Stopping(1e-9, 0.0, 1000),
         )
         trace = prograamme_solve(p, cfg, seed=1)
-        assert trace.converged and trace.certified
+        assert trace.converged
         assert_rc_budget(trace, cfg.r, planted)
 
         # a record's r is the budget after that iteration's move, if any;
@@ -382,8 +382,7 @@ def test_binding_budget_fails_its_exit_certificate():
     # at the cap, both factored solvers say X is not the optimum
     for cont in (Continuation(), Continuation(enabled=True)):
         trace = run(8, cont)
-        assert trace.converged is not cont.enabled
-        assert not trace.certified
+        assert not trace.converged
         assert trace.exit_residual > 1e-6
         assert trace.final_rank == trace.records[-1].r == 8
         assert any("binds at exit" in note for note in trace.notes)
@@ -392,7 +391,7 @@ def test_binding_budget_fails_its_exit_certificate():
     # below the cap, a failed certificate grows rc's budget and the run goes
     # on; a cadence longer than the run leaves growth to the certificate
     trace = run(40, Continuation(enabled=True, cadence=10**6))
-    assert trace.converged and trace.certified
+    assert trace.converged
     assert sum("grown" in note for note in trace.notes) >= 2
     assert dist(trace) <= 1e-6
     # an exit below the budget needs no certificate
@@ -426,13 +425,36 @@ def test_rc_grows_from_its_small_start_to_the_optimum(case, extra):
     trace = prograamme_solve(p, SolverConfig(r=cap, inner=FixedI(1), stop=stop,
                                              continuation=Continuation(enabled=True)),
                              seed=1)
-    assert trace.converged and trace.certified
+    assert trace.converged
     assert max(trace.column("r")) <= cap
     dist = np.linalg.norm(trace.X - ref.X) / max(np.linalg.norm(ref.X), 1.0)
     assert dist <= 1e-6
     assert solver._prox_residual(p, trace.X, trace.gamma) <= 1e-6
     if k > solver._RANK_MARGIN:
         assert any("grown" in note for note in trace.notes)
+
+
+def test_exact_prox_budget_is_inert():
+    # pgd's budget is min(m, n): X filling it does not bind, and continuation
+    # neither cuts nor grows it
+    rng = np.random.default_rng(4)
+    m, n = 12, 8
+    F = rng.standard_normal((m, n))
+    W = rng.uniform(0.8, 1.0, size=(m, n))
+    # rank 8 = min(m, n) at the tiny tau; rank 3 at tau = 3 sits more than
+    # the margin below the budget, where rc would cut
+    for tau, full in ((1e-8, True), (3.0, False)):
+        p = Problem(Identity((m, n)), F, W, tau)
+        for rule in (Zero(), FistaLike()):
+            cfg = SolverConfig(rule=rule, stop=Stopping(1e-10, 0.0, 3000),
+                               continuation=Continuation(enabled=True, cadence=1))
+            trace = pgd_solve(p, cfg)
+            assert trace.converged
+            assert (trace.final_rank == min(m, n)) is full
+            assert set(trace.column("r")) == {min(m, n)}
+            assert set(trace.column("inner_iters")) == {0}
+            assert trace.exit_residual is None
+            assert not any("rank budget" in note for note in trace.notes)
 
 
 def test_divergent_step_raises():
@@ -559,13 +581,6 @@ def test_trace_csv_roundtrip(tmp_path):
     assert rows[0] == solver.TRACE_HEADER
     assert len(rows) == len(trace.records) + 1
     assert float(rows[1][3]) == trace.records[0].step_norm
-
-
-def test_probe_exact_prox_records_rank():
-    p, _ = small_completion_problem()
-    cfg = SolverConfig(r=10, stop=Stopping(1e-6, 0.0, 20), probe_exact_prox=True)
-    trace = prograamme_solve(p, cfg, seed=1)
-    assert all(rec.rank_exact_prox is not None for rec in trace.records)
 
 
 def test_fista_stepsize_note():
