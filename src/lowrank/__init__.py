@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .amfit import FactorPair, FixedI, IncreasingI, Tolerance, inner_solve
 from .operators import DenseSensing, EntryMask, Identity, Problem
 from .problems import SyntheticSpec, generate, generate_full, rmse
-from .prox import soft_threshold, svt
+from .prox import svt
 from .solver import (Constant, Continuation, FistaLike, Online, SolveTrace,
                      SolverConfig, Stopping, Zero, pgd_solve, prograamme_solve,
                      truncate_factors)
@@ -23,7 +23,7 @@ __all__ = [
     "__version__",
     "Problem", "Identity", "EntryMask", "DenseSensing",
     "FactorPair", "FixedI", "Tolerance", "IncreasingI", "inner_solve",
-    "soft_threshold", "svt",
+    "svt",
     "SolverConfig", "Stopping", "Continuation", "SolveTrace",
     "Zero", "Constant", "FistaLike", "Online",
     "prograamme_solve", "pgd_solve", "truncate_factors",

@@ -84,9 +84,12 @@ def random_pair(m, n, r, rng):
 
 
 def update_U(Z, V, mu):
-    """Exact minimizer over U with V fixed: Z V^T (V V^T + mu I)^-1."""
-    Z = as_matrix(Z, "Z")
-    V = as_matrix(V, "V")
+    """Exact minimizer over U with V fixed: Z V^T (V V^T + mu I)^-1.
+
+    Z and V are taken as validated float64 matrices (inner_solve checks Z,
+    FactorPair the factors); spd_solve still rejects a non-finite Gram or
+    right-hand side, so an overflow inside a pass raises NonFiniteError.
+    """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     G = V @ V.T
@@ -95,9 +98,10 @@ def update_U(Z, V, mu):
 
 
 def update_V(Z, U, mu):
-    """Exact minimizer over V with U fixed: (U^T U + mu I)^-1 U^T Z."""
-    Z = as_matrix(Z, "Z")
-    U = as_matrix(U, "U")
+    """Exact minimizer over V with U fixed: (U^T U + mu I)^-1 U^T Z.
+
+    Takes validated operands, as update_U does.
+    """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
     G = U.T @ U

@@ -112,12 +112,12 @@ def write_problem_dir(gen, out_dir):
         "ground_truth": list(gen.ground_truth.shape),
         "noise": list(gen.noise.shape),
     }
-    if gen.mask is not None:
-        write_matrix_csv(out / "mask.csv", gen.mask)
-        shapes["mask"] = list(gen.mask.shape)
-    if gen.sensing is not None:
-        write_matrix_csv(out / "sensing.csv", gen.sensing)
-        shapes["sensing"] = list(gen.sensing.shape)
+    if isinstance(gen.op, EntryMask):
+        write_matrix_csv(out / "mask.csv", gen.op.mask)
+        shapes["mask"] = list(gen.op.mask.shape)
+    elif isinstance(gen.op, DenseSensing):
+        write_matrix_csv(out / "sensing.csv", gen.op.S)
+        shapes["sensing"] = list(gen.op.S.shape)
     manifest = {
         "version": __version__,
         "spec": problems.spec_to_dict(gen.spec),

@@ -4,8 +4,15 @@ An observation operator maps the m x n recovery domain to the measurement
 space. Three variants are supported: the identity map, an entrywise 0/1
 mask (matrix completion), and a dense sensing matrix acting on the
 column-stacked vectorization of the input (compressed sensing).
+
+Each operator carries its own maps: `apply(X)` and `adjoint(R)` on
+operands already validated, `operator_norm`, and `weighted_gram(W_tilde)`,
+the matrix W_bar with op* diag(W_tilde) op X = W_bar . X when the operator
+acts entrywise (None otherwise). The module functions `apply` and `adjoint`
+validate the operand and then call the operator's method.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +37,7 @@ class Identity:
     """Identity observation: the matrix is observed directly."""
 
     shape: tuple
+    operator_norm = 1.0
 
     @property
     def domain_shape(self):
@@ -39,9 +47,12 @@ class Identity:
     def codomain_shape(self):
         return self.shape
 
-    @property
-    def operator_norm(self):
-        return 1.0
+    def apply(self, X):
+        return X
+
+    # self-adjoint, and op* diag(W_tilde) op = diag(W_tilde): W_bar is
+    # W_tilde itself, not a copy
+    adjoint = weighted_gram = apply
 
 
 @dataclass(frozen=True)
@@ -49,6 +60,7 @@ class EntryMask:
     """Entrywise 0/1 mask; observed entries are those where the mask is 1."""
 
     mask: np.ndarray
+    operator_norm = 1.0
 
     def __post_init__(self):
         m = as_matrix(self.mask, "mask")
@@ -64,9 +76,11 @@ class EntryMask:
     def codomain_shape(self):
         return self.mask.shape
 
-    @property
-    def operator_norm(self):
-        return 1.0
+    def apply(self, X):
+        return self.mask * X
+
+    # self-adjoint, and mask . W_tilde . mask = mask . W_tilde for a 0/1 mask
+    adjoint = weighted_gram = apply
 
 
 @dataclass(frozen=True)
@@ -85,13 +99,12 @@ class DenseSensing:
             )
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "domain_shape", (int(m), int(n)))
-        object.__setattr__(self, "_norm_cache", [None])
 
     @property
     def codomain_shape(self):
         return (self.S.shape[0], 1)
 
-    @property
+    @functools.cached_property
     def operator_norm(self):
         """Upper bound on sigma_1(S), computed once and cached.
 
@@ -99,9 +112,17 @@ class DenseSensing:
         name sees the call. The bound exceeds sigma_1(S) by a relative
         1e-10 at most.
         """
-        if self._norm_cache[0] is None:
-            self._norm_cache[0] = linalg.spectral_norm(self.S)
-        return self._norm_cache[0]
+        return linalg.spectral_norm(self.S)
+
+    def apply(self, X):
+        return self.S @ vec(X)
+
+    def adjoint(self, R):
+        return unvec(self.S.T @ R, self.domain_shape)
+
+    def weighted_gram(self, W_tilde):
+        """None: op* diag(W_tilde) op is not entrywise."""
+        return None
 
 
 def apply(op, X):
@@ -111,13 +132,7 @@ def apply(op, X):
         raise DimensionError(
             f"operand shape {X.shape} does not match domain {op.domain_shape}"
         )
-    if isinstance(op, Identity):
-        return X
-    if isinstance(op, EntryMask):
-        return op.mask * X
-    if isinstance(op, DenseSensing):
-        return op.S @ vec(X)
-    raise TypeError(f"unknown observation operator {type(op)!r}")
+    return op.apply(X)
 
 
 def adjoint(op, R):
@@ -127,13 +142,7 @@ def adjoint(op, R):
         raise DimensionError(
             f"operand shape {R.shape} does not match codomain {op.codomain_shape}"
         )
-    if isinstance(op, Identity):
-        return R
-    if isinstance(op, EntryMask):
-        return op.mask * R
-    if isinstance(op, DenseSensing):
-        return unvec(op.S.T @ R, op.domain_shape)
-    raise TypeError(f"unknown observation operator {type(op)!r}")
+    return op.adjoint(R)
 
 
 @dataclass(frozen=True)
@@ -141,10 +150,9 @@ class Problem:
     """One weighted low-rank recovery instance.
 
     Minimizes 0.5 * |(op(X) - F) . W|^2 + tau * |X|_* over X. The squared
-    weights W_tilde = W . W are cached at construction. For the operators
-    that act entrywise, W_bar = op* W_tilde op is cached as well: the
-    matrix mask . W_tilde for EntryMask, and W_tilde itself (not a copy)
-    for Identity. It is None for DenseSensing.
+    weights W_tilde = W . W are cached at construction, and so is
+    W_bar = op.weighted_gram(W_tilde): mask . W_tilde for EntryMask,
+    W_tilde itself (not a copy) for Identity, None for DenseSensing.
     """
 
     op: object
@@ -169,17 +177,11 @@ class Problem:
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         W_tilde = W * W
-        if isinstance(self.op, EntryMask):
-            W_bar = self.op.mask * W_tilde
-        elif isinstance(self.op, Identity):
-            W_bar = W_tilde
-        else:
-            W_bar = None
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "W_tilde", W_tilde)
-        object.__setattr__(self, "W_bar", W_bar)
+        object.__setattr__(self, "W_bar", self.op.weighted_gram(W_tilde))
 
     @property
     def domain_shape(self):
@@ -195,19 +197,18 @@ def loss(p, X):
 def gradient(p, X):
     """Gradient of the smooth loss at X: op*((op(X) - F) . W_tilde).
 
-    With W_bar cached (Identity, EntryMask) this is (X - F) . W_bar, two
-    passes over one new array with X validated once. It equals the
+    X is validated once. With W_bar cached (Identity, EntryMask) this is
+    (X - F) . W_bar, two passes over one new array. It equals the
     adjoint(apply(...)) form bit for bit, up to the sign of zeros at
     unobserved entries. Dense sensing takes the adjoint(apply(...)) form.
     """
-    if p.W_bar is None:
-        R = (apply(p.op, X) - p.F) * p.W_tilde
-        return adjoint(p.op, R)
     X = as_matrix(X, "X")
-    if X.shape != p.F.shape:
+    if X.shape != p.domain_shape:
         raise DimensionError(
-            f"operand shape {X.shape} does not match domain {p.F.shape}"
+            f"operand shape {X.shape} does not match domain {p.domain_shape}"
         )
+    if p.W_bar is None:
+        return p.op.adjoint((p.op.apply(X) - p.F) * p.W_tilde)
     R = X - p.F
     R *= p.W_bar
     return R

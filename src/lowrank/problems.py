@@ -6,7 +6,6 @@ numpy's default PCG64 generator seeded from the spec, making every
 generated instance reproducible across platforms.
 """
 
-import json
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -14,7 +13,7 @@ import numpy as np
 from . import linalg
 from .exceptions import DimensionError, InvalidSpecError, UndefinedMetricError
 from .linalg import as_matrix
-from .operators import DenseSensing, EntryMask, Identity, Problem, vec
+from .operators import DenseSensing, EntryMask, Identity, Problem
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +136,15 @@ def spec_from_dict(d):
         raise InvalidSpecError(f"malformed synthetic spec: {exc}") from exc
 
 
-def load_spec(path):
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
-
-
-def save_spec(path, spec):
-    with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-
-
 # ---------------------------------------------------------------------------
 # generation
 
 @dataclass
 class GeneratedProblem:
-    """Full output of the generator, including pieces the Problem drops."""
+    """Full output of the generator, including pieces the Problem drops.
+
+    The mask or sensing matrix, if any, is op.mask or op.S.
+    """
 
     spec: SyntheticSpec
     op: object
@@ -160,8 +152,6 @@ class GeneratedProblem:
     W: np.ndarray
     ground_truth: np.ndarray
     noise: np.ndarray
-    mask: np.ndarray = None
-    sensing: np.ndarray = None
 
     @property
     def noise_norm(self):
@@ -213,7 +203,7 @@ def _make_weights(rng, spec, shape):
 
 
 def generate_full(spec):
-    """Generate one instance, retaining noise, mask, and sensing matrices.
+    """Generate one instance, retaining the ground truth and the noise.
 
     Draw order is fixed (factors, mask/sensing, noise, weights) so a given
     (spec, seed) always produces identical output.
@@ -224,31 +214,24 @@ def generate_full(spec):
     B = rng.standard_normal((spec.rank, n))
     X = A @ B
 
-    mask = None
-    sensing = None
     if spec.sensing_dim is not None:
         # 1/sqrt(d) scaling makes the sensing map a near-isometry, so
         # measurement and domain scales match
         d = spec.sensing_dim
-        sensing = rng.standard_normal((d, m * n)) / np.sqrt(d)
-        op = DenseSensing(sensing, (m, n))
-        noise = _make_noise(rng, spec, op.codomain_shape, X)
-        F = sensing @ vec(X) + noise
+        op = DenseSensing(rng.standard_normal((d, m * n)) / np.sqrt(d), (m, n))
     elif spec.mask_fraction is not None:
         if spec.exact_mask_count:
             mask = _support(rng, m, n, spec.mask_fraction).astype(float)
         else:
             mask = (rng.random((m, n)) < spec.mask_fraction).astype(float)
         op = EntryMask(mask)
-        noise = _make_noise(rng, spec, (m, n), X)
-        F = mask * X + noise
     else:
         op = Identity((m, n))
-        noise = _make_noise(rng, spec, (m, n), X)
-        F = X + noise
+    noise = _make_noise(rng, spec, op.codomain_shape, X)
+    F = op.apply(X) + noise
 
     W = _make_weights(rng, spec, op.codomain_shape)
-    return GeneratedProblem(spec, op, F, W, X, noise, mask, sensing)
+    return GeneratedProblem(spec, op, F, W, X, noise)
 
 
 def generate(spec, tau=1.0):

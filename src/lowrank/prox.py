@@ -1,17 +1,9 @@
-"""Proximal maps: soft-thresholding and singular value thresholding."""
+"""Proximal map of the nuclear norm: singular value thresholding."""
 
 import numpy as np
 
 from . import linalg
 from .linalg import as_matrix
-
-
-def soft_threshold(S, gamma):
-    """Entrywise soft-thresholding max{|s| - gamma, 0} * sign(s)."""
-    if gamma < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {gamma}")
-    S = np.asarray(S, dtype=float)
-    return np.sign(S) * np.maximum(np.abs(S) - gamma, 0.0)
 
 
 def svt(Z, gamma):

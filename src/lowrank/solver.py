@@ -13,7 +13,7 @@ budget, or the exact SVT.
 import csv
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, astuple, fields
 
 import numpy as np
 
@@ -160,9 +160,6 @@ class SolverConfig:
             raise ValueError(f"trace_level must be 'light' or 'full', got {self.trace_level!r}")
 
 
-TRACE_HEADER = ["k", "elapsed_s", "objective", "step_norm", "rank_x", "r", "inner_iters"]
-
-
 @dataclass
 class TraceRecord:
     k: int
@@ -172,6 +169,9 @@ class TraceRecord:
     rank_x: int
     r: int
     inner_iters: int
+
+
+TRACE_HEADER = [f.name for f in fields(TraceRecord)]
 
 
 @dataclass
@@ -200,18 +200,8 @@ class SolveTrace:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(TRACE_HEADER)
-            for rec in self.records:
-                w.writerow(
-                    [
-                        rec.k,
-                        repr(rec.elapsed_s),
-                        repr(rec.objective) if rec.objective == rec.objective else "nan",
-                        repr(rec.step_norm),
-                        rec.rank_x,
-                        rec.r,
-                        rec.inner_iters,
-                    ]
-                )
+            # csv writes floats by repr, NaN as nan
+            w.writerows(astuple(rec) for rec in self.records)
 
     def summary(self, config=None, algorithm=None):
         out = {

@@ -5,7 +5,7 @@ from lowrank import amfit, problems
 from lowrank.amfit import (FactorPair, FixedI, IncreasingI, Tolerance,
                            inner_objective, inner_solve, random_pair,
                            update_U, update_V)
-from lowrank.exceptions import DimensionError
+from lowrank.exceptions import DimensionError, NonFiniteError
 from lowrank.prox import svt_with_rank
 from lowrank.solver import (Continuation, SolverConfig, Stopping,
                             prograamme_solve)
@@ -143,6 +143,16 @@ def test_inner_solve_shape_check():
     pair = random_pair(4, 4, 2, rng)
     with pytest.raises(DimensionError):
         inner_solve(np.ones((5, 4)), 0.5, pair, FixedI(1))
+
+
+def test_inner_solve_overflow_raises_non_finite():
+    # Z is finite, but the first U has entries near 1e300, so the Gram
+    # U^T U of the V update overflows
+    rng = np.random.default_rng(12)
+    Z = np.full((20, 15), 1e300)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match="G contains non-finite entries"):
+        inner_solve(Z, 0.5, random_pair(20, 15, 4, rng), FixedI(1))
 
 
 def test_inner_loop_stays_off_scipy_linalg(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lowrank import cli, solver
+from lowrank import cli, problems, solver
 from lowrank.amfit import FixedI, Tolerance
 from lowrank.solver import Constant, FistaLike, Zero
 
@@ -69,6 +69,25 @@ def test_generate_is_byte_identical_for_same_seed(tmp_path, runner):
     d2 = make_problem_dir(tmp_path / "b", runner)
     for name in ("F.csv", "W.csv", "ground_truth.csv", "noise.csv", "mask.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", [{}, {"mask_fraction": 0.5}, {"sensing_dim": 40}],
+                         ids=["identity", "mask", "sensing"])
+def test_problem_dir_round_trips(tmp_path, kind):
+    spec = problems.SyntheticSpec(8, 6, 2, noise=problems.AdditiveGaussian(0.1),
+                                  weights=problems.UniformInt(1, 5), seed=3, **kind)
+    gen = problems.generate_full(spec)
+    cli.write_problem_dir(gen, tmp_path)
+    op, F, W, noise_norm, gt, manifest = cli.load_problem_dir(tmp_path)
+    assert type(op) is type(gen.op)
+    assert op.domain_shape == gen.op.domain_shape
+    for name in ("mask", "S"):
+        if hasattr(gen.op, name):
+            assert getattr(op, name).tobytes() == getattr(gen.op, name).tobytes()
+    for got, want in ((F, gen.F), (W, gen.W), (gt, gen.ground_truth)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert noise_norm == gen.noise_norm
+    assert problems.spec_from_dict(manifest["spec"]) == spec
 
 
 def test_generate_seed_flag_beats_file(tmp_path, runner):

@@ -136,6 +136,27 @@ def test_problem_caches_the_gradient_weights():
     assert p.W_bar is None
 
 
+def test_sensing_norm_is_computed_once_per_operator(monkeypatch):
+    # through the module name, so a wrapper installed on
+    # linalg.spectral_norm sees every call
+    calls = []
+    spectral_norm = operators.linalg.spectral_norm
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return spectral_norm(A, *args, **kwargs)
+
+    monkeypatch.setattr(operators.linalg, "spectral_norm", counted)
+    rng = np.random.default_rng(8)
+    ops = [DenseSensing(rng.standard_normal((12, 30)), (6, 5)) for _ in range(2)]
+    for i, op in enumerate(ops, 1):
+        p = Problem(op, np.zeros((12, 1)), np.ones((12, 1)), 1.0)
+        norm = op.operator_norm
+        assert lipschitz_bound(p) == norm ** 2
+        assert op.operator_norm == norm
+        assert len(calls) == i and calls[-1] is op.S
+
+
 def test_gradient_shape_check():
     p = Problem(EntryMask(np.ones((3, 3))), np.ones((3, 3)), np.ones((3, 3)), 1.0)
     with pytest.raises(DimensionError):

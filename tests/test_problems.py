@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowrank import problems
 from lowrank.exceptions import (DimensionError, InvalidSpecError,
@@ -33,6 +36,41 @@ def test_spec_json_roundtrip():
         weights=LargeOnSupport(0.2, 5.0, 10.0), mask_fraction=0.7, seed=9,
     )
     assert spec_from_dict(spec_to_dict(spec)) == spec
+
+
+_fractions = st.floats(0.01, 0.99)
+_reals = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def specs(draw):
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    noise = draw(st.one_of(
+        st.builds(GaussianScaled, _reals, st.none() | _fractions),
+        st.builds(SparseLarge, _reals, _reals, _fractions),
+        st.builds(AdditiveGaussian, _reals),
+    ))
+    w_min = draw(st.integers(0, 20))
+    weights = draw(st.one_of(
+        st.just(AllOnes()),
+        st.builds(UniformInt, st.just(w_min), st.integers(w_min, 40)),
+        st.builds(LargeOnSupport, _fractions, st.just(float(w_min)),
+                  st.floats(w_min, 40.0)),
+    ))
+    kind = draw(st.sampled_from(["identity", "mask", "sensing"]))
+    return SyntheticSpec(
+        m, n, draw(st.integers(1, min(m, n) - 1)), noise=noise, weights=weights,
+        mask_fraction=draw(st.floats(0.01, 1.0)) if kind == "mask" else None,
+        exact_mask_count=draw(st.booleans()),
+        sensing_dim=draw(st.integers(1, 200)) if kind == "sensing" else None,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs())
+def test_spec_survives_json(spec):
+    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
 def test_spec_from_dict_rejects_unknown_type():
@@ -73,7 +111,7 @@ def test_operator_selection():
 
 def test_mask_density_close_to_requested():
     gen = generate_full(SyntheticSpec(2000, 2000, 4, mask_fraction=0.5, seed=0))
-    density = float(np.mean(gen.mask))
+    density = float(np.mean(gen.op.mask))
     assert abs(density - 0.5) <= 0.01 * 0.5
 
 
@@ -81,7 +119,7 @@ def test_exact_mask_count():
     gen = generate_full(
         SyntheticSpec(40, 50, 2, mask_fraction=0.3, exact_mask_count=True, seed=1)
     )
-    assert int(gen.mask.sum()) == int(np.floor(0.3 * 40 * 50))
+    assert int(gen.op.mask.sum()) == int(np.floor(0.3 * 40 * 50))
 
 
 def test_uniform_int_weights_in_range():
@@ -127,7 +165,7 @@ def test_sensing_measurements_consistent():
     spec = SyntheticSpec(10, 10, 2, noise=AdditiveGaussian(0.1),
                          sensing_dim=40, seed=7)
     gen = generate_full(spec)
-    assert gen.sensing.shape == (40, 100)
+    assert gen.op.S.shape == (40, 100)
     assert gen.F.shape == (40, 1)
     from lowrank.operators import apply
     np.testing.assert_allclose(

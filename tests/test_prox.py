@@ -2,19 +2,7 @@ import numpy as np
 import pytest
 
 from lowrank.linalg import thin_svd
-from lowrank.prox import soft_threshold, svt, svt_with_rank
-
-
-def test_soft_threshold_scalar_cases():
-    np.testing.assert_array_equal(soft_threshold(np.array([[3.0]]), 1.0), [[2.0]])
-    np.testing.assert_array_equal(soft_threshold(np.array([[-3.0]]), 1.0), [[-2.0]])
-    np.testing.assert_array_equal(soft_threshold(np.array([[0.5]]), 1.0), [[0.0]])
-    np.testing.assert_array_equal(soft_threshold(np.array([[1.0]]), 1.0), [[0.0]])
-
-
-def test_soft_threshold_rejects_negative():
-    with pytest.raises(ValueError):
-        soft_threshold(np.ones((2, 2)), -0.1)
+from lowrank.prox import svt, svt_with_rank
 
 
 def test_svt_diagonal():
