@@ -47,6 +47,10 @@ class FixedI:
 
     passes: int = 1
 
+    def __post_init__(self):
+        if self.passes < 1:
+            raise ValueError(f"passes must be >= 1, got {self.passes}")
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -55,17 +59,28 @@ class Tolerance:
     eps: float = 1e-4
     max_inner: int = 20
 
+    def __post_init__(self):
+        if self.max_inner < 1:
+            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+
 
 @dataclass(frozen=True)
 class IncreasingI:
     """Fixed passes that grow by one every `every` outer iterations.
 
-    Resolved by the outer solver; calling inner_solve with this policy at
-    outer iteration k runs start + (k - 1) // every passes.
+    Only the outer solver resolves it: at outer iteration k it runs
+    start + (k - 1) // every passes. inner_solve itself raises TypeError
+    for this policy.
     """
 
     start: int = 1
     every: int = 50
+
+    def __post_init__(self):
+        if self.start < 1 or self.every < 1:
+            raise ValueError(
+                f"start and every must be >= 1, got {self.start} and {self.every}"
+            )
 
     def resolve(self, k):
         return FixedI(self.start + max(k - 1, 0) // self.every)

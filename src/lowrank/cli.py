@@ -1,7 +1,8 @@
 """Command-line entry point: generate problems, run solvers, sweep benchmarks.
 
-Exit codes: 0 success, 2 validation failure, 3 solver hit the iteration cap
-without converging, 4 I/O failure.
+Exit codes: 0 success, 2 validation failure (including a solve that
+diverges and an input file that is not a JSON object), 3 solver hit the
+iteration cap without converging, 4 I/O failure.
 """
 
 import csv
@@ -9,12 +10,13 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import __version__, problems, solver
+from . import __version__, problems
 from .amfit import FixedI, IncreasingI, Tolerance
 from .exceptions import DivergenceError, LowRankError
 from .linalg import read_matrix_csv, write_matrix_csv
@@ -26,42 +28,69 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
-ALGORITHMS = ("prograamme", "prograamme-rc", "pgd", "fista")
+_SOLVERS = {"prograamme": prograamme_solve, "prograamme-rc": prograamme_solve,
+            "pgd": pgd_solve, "fista": pgd_solve}
+ALGORITHMS = tuple(_SOLVERS)
 
 _RULES = {"zero": Zero, "constant": Constant, "fista": FistaLike, "online": Online}
 _INNER = {"fixed": FixedI, "tolerance": Tolerance, "increasing": IncreasingI}
+_TAU_PRESETS = {"noise_norm": 1.0, "2*noise_norm": 2.0}
+
+
+# ---------------------------------------------------------------------------
+# JSON files and exit codes
+
+@contextmanager
+def _exit_codes():
+    """Exit 2 on a validation error and 4 on an I/O error, with the message."""
+    try:
+        yield
+    # JSONDecodeError is a ValueError
+    except (LowRankError, ValueError, KeyError, TypeError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_IO)
+
+
+def _read_json(path):
+    """Load a JSON file that must hold an object."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise LowRankError(f"{path} does not hold a JSON object")
+    return obj
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def parse_rule(d):
-    d = dict(d or {"type": "zero"})
-    cls = _RULES[d.pop("type")]
-    return cls(**d)
-
-
-def parse_inner(d):
-    d = dict(d or {"type": "fixed", "passes": 1})
-    cls = _INNER[d.pop("type")]
-    return cls(**d)
+def _parse(table, d, default):
+    """Build table[d["type"]] from the other fields of d (default when d is empty)."""
+    d = dict(d or default)
+    return table[d.pop("type")](**d)
 
 
 def build_solver_config(cfg, algorithm, trace_level=None):
     """Turn a config dict into a SolverConfig for the named algorithm."""
-    rule = parse_rule(cfg.get("rule"))
+    rule = _parse(_RULES, cfg.get("rule"), {"type": "zero"})
     if algorithm == "fista" and isinstance(rule, Zero):
         rule = FistaLike(float(cfg.get("fista_d", 20)))
     cont_kwargs = dict(cfg.get("continuation", {}))
     if algorithm == "prograamme-rc":
         cont_kwargs["enabled"] = True
-    cont = Continuation(**cont_kwargs)
     return SolverConfig(
         gamma=cfg.get("gamma"),
         rule=rule,
-        inner=parse_inner(cfg.get("inner")),
+        inner=_parse(_INNER, cfg.get("inner"), {"type": "fixed", "passes": 1}),
         r=int(cfg.get("r", 10)),
-        continuation=cont,
+        continuation=Continuation(**cont_kwargs),
         stop=Stopping(**cfg.get("stop", {})),
         trace_level=trace_level or cfg.get("trace_level", "light"),
     )
@@ -72,17 +101,15 @@ def resolve_tau(cfg, noise_norm=None):
     if "tau" not in cfg:
         raise LowRankError("config is missing the required 'tau' field")
     tau = cfg["tau"]
-    if isinstance(tau, str):
-        if noise_norm is None:
-            raise LowRankError(
-                f"tau preset {tau!r} needs generated noise, which is unavailable"
-            )
-        if tau == "noise_norm":
-            return noise_norm
-        if tau == "2*noise_norm":
-            return 2.0 * noise_norm
+    if not isinstance(tau, str):
+        return float(tau)
+    if tau not in _TAU_PRESETS:
         raise LowRankError(f"unknown tau preset {tau!r}")
-    return float(tau)
+    if noise_norm is None:
+        raise LowRankError(
+            f"tau preset {tau!r} needs generated noise, which is unavailable"
+        )
+    return _TAU_PRESETS[tau] * noise_norm
 
 
 def resolve_seed(file_seed, cli_seed):
@@ -96,68 +123,61 @@ def resolve_seed(file_seed, cli_seed):
 
 
 # ---------------------------------------------------------------------------
-# problem directory format
+# problem directory format: one <name>.csv per array, shapes in manifest.json
+
+def _operator_arrays(op):
+    """The operator's arrays on disk: mask.csv, sensing.csv or none."""
+    if isinstance(op, EntryMask):
+        return {"mask": op.mask}
+    if isinstance(op, DenseSensing):
+        return {"sensing": op.S}
+    return {}
+
 
 def write_problem_dir(gen, out_dir):
     """Write the CSV artifacts plus a manifest for one generated problem."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out / "F.csv", gen.F)
-    write_matrix_csv(out / "W.csv", gen.W)
-    write_matrix_csv(out / "ground_truth.csv", gen.ground_truth)
-    write_matrix_csv(out / "noise.csv", gen.noise)
-    shapes = {
-        "F": list(gen.F.shape),
-        "W": list(gen.W.shape),
-        "ground_truth": list(gen.ground_truth.shape),
-        "noise": list(gen.noise.shape),
-    }
-    if isinstance(gen.op, EntryMask):
-        write_matrix_csv(out / "mask.csv", gen.op.mask)
-        shapes["mask"] = list(gen.op.mask.shape)
-    elif isinstance(gen.op, DenseSensing):
-        write_matrix_csv(out / "sensing.csv", gen.op.S)
-        shapes["sensing"] = list(gen.op.S.shape)
+    arrays = {"F": gen.F, "W": gen.W, "ground_truth": gen.ground_truth,
+              "noise": gen.noise, **_operator_arrays(gen.op)}
+    for name, A in arrays.items():
+        write_matrix_csv(out / f"{name}.csv", A)
     manifest = {
         "version": __version__,
         "spec": problems.spec_to_dict(gen.spec),
         "seed": gen.spec.seed,
-        "shapes": shapes,
+        "shapes": {name: list(A.shape) for name, A in arrays.items()},
         "noise_norm": gen.noise_norm,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    _write_json(out / "manifest.json", manifest)
     return manifest
 
 
 def load_problem_dir(problem_dir):
     """Rebuild (op, F, W, noise_norm, ground_truth) from a problem directory."""
     pdir = Path(problem_dir)
-    with open(pdir / "manifest.json") as fh:
-        manifest = json.load(fh)
-    shapes = manifest["shapes"]
-    F = read_matrix_csv(pdir / "F.csv", shapes["F"])
-    W = read_matrix_csv(pdir / "W.csv", shapes["W"])
-    gt = read_matrix_csv(pdir / "ground_truth.csv", shapes["ground_truth"])
-    if "mask" in shapes:
-        op = EntryMask(read_matrix_csv(pdir / "mask.csv", shapes["mask"]))
-    elif "sensing" in shapes:
-        op = DenseSensing(read_matrix_csv(pdir / "sensing.csv", shapes["sensing"]),
-                          gt.shape)
+    manifest = _read_json(pdir / "manifest.json")
+    # a solve needs no noise, only its norm from the manifest
+    arrays = {name: read_matrix_csv(pdir / f"{name}.csv", shape)
+              for name, shape in manifest["shapes"].items() if name != "noise"}
+    shape = arrays["ground_truth"].shape
+    if "mask" in arrays:
+        op = EntryMask(arrays["mask"])
+    elif "sensing" in arrays:
+        op = DenseSensing(arrays["sensing"], shape)
     else:
-        op = Identity(gt.shape)
-    return op, F, W, float(manifest["noise_norm"]), gt, manifest
+        op = Identity(shape)
+    return (op, arrays["F"], arrays["W"], float(manifest["noise_norm"]),
+            arrays["ground_truth"], manifest)
 
 
 # ---------------------------------------------------------------------------
 # run helpers (importable; the click commands are thin wrappers)
 
 def run_solver(algorithm, problem, cfg, X0=None, seed=0):
-    if algorithm in ("prograamme", "prograamme-rc"):
-        return prograamme_solve(problem, cfg, X0, seed=seed)
-    if algorithm in ("pgd", "fista"):
-        return pgd_solve(problem, cfg, X0, seed=seed)
-    raise LowRankError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in _SOLVERS:
+        raise LowRankError(f"unknown algorithm {algorithm!r}")
+    return _SOLVERS[algorithm](problem, cfg, X0, seed=seed)
 
 
 def _write_run(out, trace, cfg, algorithm, tau):
@@ -167,8 +187,7 @@ def _write_run(out, trace, cfg, algorithm, tau):
     summary.update({"tau": tau, "version": __version__})
     if isinstance(cfg.rule, FistaLike):
         summary["inertial_rule"] = f"a_k = (k-1)/(k+{cfg.rule.d:g})"
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_json(out / "summary.json", summary)
 
 
 def solve_once(problem_dir, config, algorithm, out_dir, seed=None, trace_level=None):
@@ -186,15 +205,13 @@ def solve_once(problem_dir, config, algorithm, out_dir, seed=None, trace_level=N
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_run(out, trace, cfg, algorithm, tau)
-    run_manifest = {
+    _write_json(out / "run_manifest.json", {
         "version": __version__,
         "algorithm": algorithm,
         "problem_manifest": manifest,
         "config": config,
         "seed": run_seed,
-    }
-    with open(out / "run_manifest.json", "w") as fh:
-        json.dump(run_manifest, fh, indent=2)
+    })
     return trace
 
 
@@ -265,20 +282,18 @@ def run_bench(suite, out_dir, repeats, seed=None):
         w = csv.DictWriter(fh, fieldnames=AGGREGATE_HEADER)
         w.writeheader()
         w.writerows(rows)
-    manifest = {
+    _write_json(out / "bench_manifest.json", {
         "version": __version__,
         "suite": suite,
         "repeats": repeats,
         "base_seed": base_seed,
         "warnings": warnings_seen,
-    }
-    with open(out / "bench_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    })
     return rows
 
 
 # ---------------------------------------------------------------------------
-# click commands
+# click commands; each runs under _exit_codes
 
 @click.group()
 @click.version_option(__version__)
@@ -286,31 +301,16 @@ def main():
     """SVD-free weighted low-rank recovery toolkit."""
 
 
-def _fail(code, message):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 @main.command("generate")
 @click.option("--spec", "spec_file", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Override the spec seed.")
+@_exit_codes()
 def cmd_generate(spec_file, out_dir, seed):
     """Generate a synthetic problem directory from a JSON spec."""
-    try:
-        with open(spec_file) as fh:
-            spec_dict = json.load(fh)
-        spec_dict["seed"] = resolve_seed(spec_dict.get("seed", 0), seed)
-        spec = problems.spec_from_dict(spec_dict)
-        gen = problems.generate_full(spec)
-    except (LowRankError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    try:
-        write_problem_dir(gen, out_dir)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+    spec_dict = _read_json(spec_file)
+    spec_dict["seed"] = resolve_seed(spec_dict.get("seed", 0), seed)
+    write_problem_dir(problems.generate_full(problems.spec_from_dict(spec_dict)), out_dir)
     click.echo(f"wrote problem artifacts to {out_dir}")
 
 
@@ -321,18 +321,11 @@ def cmd_generate(spec_file, out_dir, seed):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
 @click.option("--trace-level", type=click.Choice(["light", "full"]), default=None)
+@_exit_codes()
 def cmd_solve(problem_dir, config_file, algorithm, out_dir, seed, trace_level):
     """Run a solver on a problem directory; write trace.csv and summary.json."""
-    try:
-        with open(config_file) as fh:
-            config = json.load(fh)
-        trace = solve_once(problem_dir, config, algorithm, out_dir,
-                           seed=seed, trace_level=trace_level)
-    except (LowRankError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+    trace = solve_once(problem_dir, _read_json(config_file), algorithm, out_dir,
+                       seed=seed, trace_level=trace_level)
     if not trace.converged:
         if trace.exit_residual is not None:
             click.echo(f"stopped after {trace.iterations} iterations on a binding rank "
@@ -349,17 +342,10 @@ def cmd_solve(problem_dir, config_file, algorithm, out_dir, seed, trace_level):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--repeats", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=None)
+@_exit_codes()
 def cmd_bench(suite_file, out_dir, repeats, seed):
     """Run a benchmark suite and write per-run traces plus aggregate.csv."""
-    try:
-        with open(suite_file) as fh:
-            suite = json.load(fh)
-        rows = run_bench(suite, out_dir, repeats, seed=seed)
-    except (LowRankError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+    rows = run_bench(_read_json(suite_file), out_dir, repeats, seed=seed)
     diverged = sum(row["diverged"] for row in rows)
     if diverged:
         click.echo(f"warning: {diverged} run(s) diverged; see bench_manifest.json",

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, asdict, astuple, fields
 
 import numpy as np
 
-from . import amfit, linalg, operators, prox
+from . import amfit, operators, prox
 from .amfit import FactorPair, FixedI, IncreasingI, Tolerance
 from .exceptions import DimensionError, DivergenceError, NonFiniteError
-from .linalg import as_matrix
+from .linalg import DEFAULT_RANK_TOL, as_matrix
 
 #: Columns rc keeps above the rank of X, so that rank_x < r shows the
 #: budget is not binding; also rc's starting budget.
@@ -104,8 +104,8 @@ class Continuation:
     """Rank-continuation policy: fit the factor budget r to the rank of X.
 
     The budget starts small and moves both ways, each move decided by the
-    numerical rank of the iterate (relative tolerance rank_tol) once it has
-    read the same value for cadence consecutive iterations. A rank that
+    numerical rank of the iterate (relative tolerance DEFAULT_RANK_TOL) once
+    it has read the same value for cadence consecutive iterations. A rank that
     fills the budget grows r (at most doubling it, never past SolverConfig.r);
     a rank more than a margin below the budget cuts r to that rank plus the
     margin, so that a rank below r shows the budget does not bind.
@@ -113,7 +113,6 @@ class Continuation:
 
     enabled: bool = False
     cadence: int = 3
-    rank_tol: float = linalg.DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.cadence < 1:
@@ -489,9 +488,9 @@ def _solve(p, cfg, X0, seed, exact):
 
         if not exact:
             hint = records[-1].rank_x if records else r
-            rank_x = _sketched_rank(X_new, pair.U, pair.V, cont.rank_tol, hint, sketch_rng)
+            rank_x = _sketched_rank(X_new, pair.U, pair.V, DEFAULT_RANK_TOL, hint, sketch_rng)
             if rank_x is None:
-                rank_x = _factored_rank(pair.U, pair.V, cont.rank_tol)
+                rank_x = _factored_rank(pair.U, pair.V, DEFAULT_RANK_TOL)
         held = held + 1 if records and records[-1].rank_x == rank_x else 1
         # the exact step's budget min(m, n) is no constraint, even when X fills it
         binding = not exact and rank_x == r
@@ -516,7 +515,7 @@ def _solve(p, cfg, X0, seed, exact):
             pair, r, residual, stop = grown, grown.r, None, False
         elif adaptive and held >= cont.cadence and rank_x + _RANK_MARGIN < r:
             # the rank of X has settled below the budget: drop the factor
-            # columns that carry nothing beyond rank_tol, keeping a margin
+            # columns that carry nothing beyond DEFAULT_RANK_TOL, keeping a margin
             new_r = rank_x + _RANK_MARGIN
             pair = truncate_factors(pair.U, pair.V, new_r)
             notes.append(f"rank budget cut from {r} to {new_r} at iteration {k}")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowrank import amfit, problems
 from lowrank.amfit import (FactorPair, FixedI, IncreasingI, Tolerance,
                            inner_objective, inner_solve, random_pair,
                            update_U, update_V)
 from lowrank.exceptions import DimensionError, NonFiniteError
-from lowrank.prox import svt_with_rank
+from lowrank.prox import svt
 from lowrank.solver import (Continuation, SolverConfig, Stopping,
                             prograamme_solve)
 
@@ -87,14 +88,38 @@ def test_inner_objective_nonincreasing():
         prev = cur
 
 
-def test_inner_solve_reaches_svt():
-    rng = np.random.default_rng(5)
-    Z = rng.standard_normal((10, 8))
-    for mu in (0.5, 2.0):
-        target, rank = svt_with_rank(Z, mu)
-        pair = random_pair(10, 8, max(rank, 1), rng)
-        pair, _ = inner_solve(Z, mu, pair, Tolerance(1e-12, 500))
-        assert np.linalg.norm(pair.product() - target) <= 1e-6 * max(np.linalg.norm(Z), 1.0)
+@st.composite
+def svt_targets(draw):
+    """(Z, mu, k, rng): an m x n target with k singular values above mu.
+
+    Every singular value keeps a margin from mu (at least 1.5 mu above it or
+    at most 0.6 mu), since the alternating passes converge at a rate set by
+    that gap and a Tolerance budget cannot reach SVT across a vanishing one.
+    """
+    m = draw(st.integers(2, 16))
+    n = draw(st.integers(2, 16))
+    p = min(m, n)
+    k = draw(st.integers(1, p))
+    mu = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = mu * np.concatenate([rng.uniform(1.5, 20.0, k), rng.uniform(0.0, 0.6, p - k)])
+    P = np.linalg.qr(rng.standard_normal((m, p)))[0]
+    Q = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    return (P * s) @ Q.T, mu, k, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(svt_targets(), st.sampled_from([0, 4]))
+def test_inner_solve_reaches_svt(case, extra):
+    # with a budget of rank(SVT(Z, mu)) or more, the product UV of the
+    # inner minimizer is the SVT of Z
+    Z, mu, k, rng = case
+    target = svt(Z, mu)
+    rank = np.linalg.matrix_rank(target)
+    assert rank == k
+    pair = random_pair(*Z.shape, rank + extra, rng)
+    pair, _ = inner_solve(Z, mu, pair, Tolerance(1e-13, 1000))
+    assert np.linalg.norm(pair.product() - target) <= 1e-10 * max(np.linalg.norm(Z), 1.0)
 
 
 def test_inner_solve_shrinks_zero_target():
@@ -136,6 +161,22 @@ def test_increasing_policy_resolution():
     assert pol.resolve(50) == FixedI(1)
     assert pol.resolve(51) == FixedI(2)
     assert pol.resolve(101) == FixedI(3)
+    # only the solver resolves it
+    with pytest.raises(TypeError):
+        inner_solve(np.ones((4, 4)), 0.5, random_pair(4, 4, 2, np.random.default_rng(13)),
+                    pol)
+
+
+@pytest.mark.parametrize("cls, kwargs", [(FixedI, {"passes": 0}),
+                                         (Tolerance, {"max_inner": 0}),
+                                         (IncreasingI, {"start": 0}),
+                                         (IncreasingI, {"every": 0})],
+                         ids=["passes", "max_inner", "start", "every"])
+def test_policies_reject_empty_budgets(cls, kwargs):
+    # FixedI(0) would run no pass yet report a binding budget; every=0
+    # divides by zero when the solver resolves the policy
+    with pytest.raises(ValueError, match=">= 1"):
+        cls(**kwargs)
 
 
 def test_inner_solve_shape_check():

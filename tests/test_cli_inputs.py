@@ -1,0 +1,54 @@
+"""Malformed CLI input exits 2 with a message, not a traceback."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from lowrank import cli, problems
+
+CONFIG = {"tau": "noise_norm", "r": 5, "stop": {"step_tol": 1e-8, "max_iter": 200}}
+
+
+@pytest.fixture
+def problem_dir(tmp_path):
+    spec = problems.SyntheticSpec(12, 10, 2, noise=problems.AdditiveGaussian(0.1),
+                                  mask_fraction=0.5, seed=1)
+    cli.write_problem_dir(problems.generate_full(spec), tmp_path / "prob")
+    return tmp_path / "prob"
+
+
+def invoke(tmp_path, command, obj, *args):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    flag = {"generate": "--spec", "solve": "--config", "bench": "--suite"}[command]
+    return CliRunner().invoke(cli.main, [command, flag, str(path),
+                                         "--out", str(tmp_path / "out"), *args])
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "bench"])
+@pytest.mark.parametrize("obj", [[], [1, 2], "spec", 3], ids=repr)
+def test_input_that_is_not_an_object_exits_2(tmp_path, problem_dir, command, obj):
+    args = ["--problem", str(problem_dir), "--algo", "pgd"] if command == "solve" else []
+    result = invoke(tmp_path, command, obj, *args)
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert "does not hold a JSON object" in result.output
+
+
+@pytest.mark.parametrize("inner", [{"type": "increasing", "every": 0},
+                                   {"type": "increasing", "start": 0},
+                                   {"type": "fixed", "passes": 0},
+                                   {"type": "tolerance", "max_inner": 0}],
+                         ids=["every", "start", "passes", "max_inner"])
+def test_solve_with_empty_inner_budget_exits_2(tmp_path, problem_dir, inner):
+    result = invoke(tmp_path, "solve", dict(CONFIG, inner=inner),
+                    "--problem", str(problem_dir), "--algo", "prograamme")
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert "must be >= 1" in result.output
+
+
+def test_solve_with_rank_tolerance_exits_2(tmp_path, problem_dir):
+    result = invoke(tmp_path, "solve", dict(CONFIG, continuation={"rank_tol": 1.0}),
+                    "--problem", str(problem_dir), "--algo", "prograamme-rc")
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert "rank_tol" in result.output

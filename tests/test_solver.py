@@ -599,3 +599,7 @@ def test_config_validation():
         SolverConfig(trace_level="verbose")
     with pytest.raises(ValueError):
         Continuation(cadence=0)
+    # the rank read uses DEFAULT_RANK_TOL; a loose tolerance made rc read
+    # rank 0 and report convergence far from the optimum
+    with pytest.raises(TypeError):
+        Continuation(enabled=True, rank_tol=1.0)
