@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .amfit import FactorPair, FixedI, IncreasingI, Tolerance, inner_solve
 from .operators import DenseSensing, EntryMask, Identity, Problem
-from .problems import SyntheticSpec, generate, generate_full, rmse
+from .problems import SyntheticSpec, generate_full, rmse
 from .prox import svt
 from .solver import (Constant, Continuation, FistaLike, Online, SolveTrace,
                      SolverConfig, Stopping, Zero, pgd_solve, prograamme_solve,
@@ -27,5 +27,5 @@ __all__ = [
     "SolverConfig", "Stopping", "Continuation", "SolveTrace",
     "Zero", "Constant", "FistaLike", "Online",
     "prograamme_solve", "pgd_solve", "truncate_factors",
-    "SyntheticSpec", "generate", "generate_full", "rmse",
+    "SyntheticSpec", "generate_full", "rmse",
 ]

@@ -35,6 +35,8 @@ ALGORITHMS = tuple(_SOLVERS)
 _RULES = {"zero": Zero, "constant": Constant, "fista": FistaLike, "online": Online}
 _INNER = {"fixed": FixedI, "tolerance": Tolerance, "increasing": IncreasingI}
 _TAU_PRESETS = {"noise_norm": 1.0, "2*noise_norm": 2.0}
+#: The top-level config keys a run reads; any other key is refused.
+_CONFIG_KEYS = {"tau", "seed", "gamma", "r", "rule", "inner", "stop", "trace_level"}
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +80,23 @@ def _parse(table, d, default):
 
 
 def build_solver_config(cfg, algorithm, trace_level=None):
-    """Turn a config dict into a SolverConfig for the named algorithm."""
+    """Turn a config dict into a SolverConfig for the named algorithm.
+
+    The algorithm alone decides rank continuation; fista with no rule (or
+    rule zero) uses FistaLike(). A key outside _CONFIG_KEYS is refused.
+    """
+    unread = sorted(set(cfg) - _CONFIG_KEYS)
+    if unread:
+        raise LowRankError(f"config key(s) not read by the solver: {', '.join(unread)}")
     rule = _parse(_RULES, cfg.get("rule"), {"type": "zero"})
     if algorithm == "fista" and isinstance(rule, Zero):
-        rule = FistaLike(float(cfg.get("fista_d", 20)))
-    cont_kwargs = dict(cfg.get("continuation", {}))
-    if algorithm == "prograamme-rc":
-        cont_kwargs["enabled"] = True
+        rule = FistaLike()
     return SolverConfig(
         gamma=cfg.get("gamma"),
         rule=rule,
         inner=_parse(_INNER, cfg.get("inner"), {"type": "fixed", "passes": 1}),
         r=int(cfg.get("r", 10)),
-        continuation=Continuation(**cont_kwargs),
+        continuation=Continuation(enabled=algorithm == "prograamme-rc"),
         stop=Stopping(**cfg.get("stop", {})),
         trace_level=trace_level or cfg.get("trace_level", "light"),
     )

@@ -132,19 +132,6 @@ def thin_svd(A):
     return P, s, Qt
 
 
-def numerical_rank(A, rel_tol=DEFAULT_RANK_TOL):
-    """Number of singular values above rel_tol times the largest one.
-
-    Returns 0 for the zero matrix.
-    """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    _, s, _ = thin_svd(A)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
-
-
 def spectral_norm(A, rel_tol=1e-10, max_iter=10000):
     """Upper bound on the largest singular value of A, via Lanczos.
 

@@ -87,7 +87,6 @@ class SyntheticSpec:
     noise: object = field(default_factory=AdditiveGaussian)
     weights: object = field(default_factory=AllOnes)
     mask_fraction: float = None
-    exact_mask_count: bool = False
     sensing_dim: int = None
     seed: int = 0
 
@@ -220,11 +219,7 @@ def generate_full(spec):
         d = spec.sensing_dim
         op = DenseSensing(rng.standard_normal((d, m * n)) / np.sqrt(d), (m, n))
     elif spec.mask_fraction is not None:
-        if spec.exact_mask_count:
-            mask = _support(rng, m, n, spec.mask_fraction).astype(float)
-        else:
-            mask = (rng.random((m, n)) < spec.mask_fraction).astype(float)
-        op = EntryMask(mask)
+        op = EntryMask((rng.random((m, n)) < spec.mask_fraction).astype(float))
     else:
         op = Identity((m, n))
     noise = _make_noise(rng, spec, op.codomain_shape, X)
@@ -232,16 +227,6 @@ def generate_full(spec):
 
     W = _make_weights(rng, spec, op.codomain_shape)
     return GeneratedProblem(spec, op, F, W, X, noise)
-
-
-def generate(spec, tau=1.0):
-    """Generate a (Problem, ground_truth) pair.
-
-    tau is a modeling choice left to the caller; see generate_full for the
-    richer output the CLI uses to derive noise-based tau presets.
-    """
-    gen = generate_full(spec)
-    return gen.problem(tau), gen.ground_truth
 
 
 # ---------------------------------------------------------------------------

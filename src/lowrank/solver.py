@@ -26,6 +26,9 @@ from .linalg import DEFAULT_RANK_TOL, as_matrix
 #: budget is not binding; also rc's starting budget.
 _RANK_MARGIN = 4
 
+#: Consecutive equal rank reads of X after which rc moves its budget.
+_CADENCE = 3
+
 #: Relative prox-gradient residual above which an exit with a binding
 #: budget is not certified.
 _EXIT_RESIDUAL_TOL = 1e-6
@@ -105,18 +108,14 @@ class Continuation:
 
     The budget starts small and moves both ways, each move decided by the
     numerical rank of the iterate (relative tolerance DEFAULT_RANK_TOL) once
-    it has read the same value for cadence consecutive iterations. A rank that
-    fills the budget grows r (at most doubling it, never past SolverConfig.r);
-    a rank more than a margin below the budget cuts r to that rank plus the
-    margin, so that a rank below r shows the budget does not bind.
+    it has read the same value for _CADENCE consecutive iterations. A rank
+    that fills the budget grows r (at most doubling it, never past
+    SolverConfig.r); a rank more than a margin below the budget cuts r to
+    that rank plus the margin, so that a rank below r shows the budget does
+    not bind.
     """
 
     enabled: bool = False
-    cadence: int = 3
-
-    def __post_init__(self):
-        if self.cadence < 1:
-            raise ValueError(f"cadence must be >= 1, got {self.cadence}")
 
 
 @dataclass(frozen=True)
@@ -386,7 +385,7 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     otherwise the run ends with converged False, plain and rc alike.
 
     With cfg.continuation.enabled (rc), r starts at _RANK_MARGIN and
-    adapts, capped at cfg.r: once the rank of X has held for cadence
+    adapts, capped at cfg.r: once the rank of X has held for _CADENCE
     iterations, r grows by _grow_factors if that rank fills it, and is cut
     to the rank plus _RANK_MARGIN if that is below r. Each move adds a note
     to the trace.
@@ -428,8 +427,7 @@ def _solve(p, cfg, X0, seed, exact):
     L = operators.lipschitz_bound(p)
     gamma = cfg.gamma if cfg.gamma is not None else 1.0 / L
     mu = p.tau * gamma
-    cont = cfg.continuation
-    adaptive = cont.enabled and not exact
+    adaptive = cfg.continuation.enabled and not exact
     if exact:
         r = r_cap = min(m, n)
     else:
@@ -503,17 +501,17 @@ def _solve(p, cfg, X0, seed, exact):
         uncertified = residual is not None and residual > _EXIT_RESIDUAL_TOL
         grown = None
         if (adaptive and binding and r < r_cap
-                and (uncertified or (held >= cont.cadence and not stop))):
+                and (uncertified or (held >= _CADENCE and not stop))):
             grown = _grow_factors(Z - X_new, mu, pair, r_cap, grow_rng)
             # whether or not it adds columns, the next attempt waits for
-            # cadence more reads
+            # _CADENCE more reads
             held = 0
         if grown is not None:
             # the rank of X fills the budget: add the residual's missing
             # SVT terms as new columns and go on
             notes.append(f"rank budget grown from {r} to {grown.r} at iteration {k}")
             pair, r, residual, stop = grown, grown.r, None, False
-        elif adaptive and held >= cont.cadence and rank_x + _RANK_MARGIN < r:
+        elif adaptive and held >= _CADENCE and rank_x + _RANK_MARGIN < r:
             # the rank of X has settled below the budget: drop the factor
             # columns that carry nothing beyond DEFAULT_RANK_TOL, keeping a margin
             new_r = rank_x + _RANK_MARGIN

@@ -47,8 +47,28 @@ def test_solve_with_empty_inner_budget_exits_2(tmp_path, problem_dir, inner):
     assert "must be >= 1" in result.output
 
 
-def test_solve_with_rank_tolerance_exits_2(tmp_path, problem_dir):
-    result = invoke(tmp_path, "solve", dict(CONFIG, continuation={"rank_tol": 1.0}),
-                    "--problem", str(problem_dir), "--algo", "prograamme-rc")
+# each run parameter has one setter: --algo picks rc and rule.d sets FISTA's
+# d, so continuation and fista_d are refused; R and a top-level max_iter,
+# misspellings of r and stop.max_iter, would otherwise run on the defaults
+@pytest.mark.parametrize("key, value", [("continuation", {"rank_tol": 1.0}),
+                                        ("fista_d", 5.0), ("R", 50), ("max_iter", 5)],
+                         ids=["continuation", "fista_d", "R", "max_iter"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_unread_config_key_exits_2(tmp_path, problem_dir, key, value, command):
+    config = dict(CONFIG, **{key: value})
+    if command == "solve":
+        result = invoke(tmp_path, "solve", config, "--problem", str(problem_dir),
+                        "--algo", "prograamme-rc")
+    else:
+        suite = {"runs": [{"name": "a", "algorithm": "prograamme-rc", "config": config,
+                           "spec": {"m": 12, "n": 10, "rank": 2, "mask_fraction": 0.5}}]}
+        result = invoke(tmp_path, "bench", suite)
     assert result.exit_code == cli.EXIT_VALIDATION, result.output
-    assert "rank_tol" in result.output
+    assert f"not read by the solver: {key}" in result.output
+
+
+def test_generate_with_exact_mask_count_exits_2(tmp_path):
+    spec = {"m": 12, "n": 10, "rank": 2, "mask_fraction": 0.5, "exact_mask_count": True}
+    result = invoke(tmp_path, "generate", spec)
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert "exact_mask_count" in result.output

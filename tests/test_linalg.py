@@ -155,39 +155,6 @@ def test_thin_svd_reconstruction_sweep():
         assert np.all(np.diff(s) <= 0.0)
 
 
-def test_numerical_rank_identity():
-    assert linalg.numerical_rank(np.eye(5), 1e-6) == 5
-
-
-def test_numerical_rank_outer_product():
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal((6, 1))
-    v = rng.standard_normal((1, 9))
-    assert linalg.numerical_rank(u @ v) == 1
-
-
-def test_numerical_rank_factor_product():
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 30))
-    assert linalg.numerical_rank(A) == 4
-
-
-def test_numerical_rank_scale_invariant():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((10, 7)) @ rng.standard_normal((7, 10))
-    for c in (1e-6, 1.0, 1e6):
-        assert linalg.numerical_rank(c * A) == linalg.numerical_rank(A)
-
-
-def test_numerical_rank_zero_matrix():
-    assert linalg.numerical_rank(np.zeros((4, 4))) == 0
-
-
-def test_numerical_rank_bad_tolerance():
-    with pytest.raises(ValueError):
-        linalg.numerical_rank(np.eye(2), 2.0)
-
-
 def test_spectral_norm_diagonal():
     assert linalg.spectral_norm(np.diag([5.0, 2.0])) == pytest.approx(5.0, rel=1e-8)
 

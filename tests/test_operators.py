@@ -224,19 +224,32 @@ def test_lipschitz_scales_with_max_weight():
     assert lipschitz_bound(p) == pytest.approx(9.0)
 
 
-def test_lipschitz_sampled_inequality():
-    rng = np.random.default_rng(5)
-    for op in random_ops(rng):
-        F = rng.standard_normal(op.codomain_shape)
-        W = rng.uniform(0.0, 2.0, size=op.codomain_shape)
-        W.flat[0] = 1.0
-        p = Problem(op, F, W, 1.0)
-        L = lipschitz_bound(p)
-        for _ in range(30):
-            X = rng.standard_normal(op.domain_shape)
-            Y = rng.standard_normal(op.domain_shape)
-            lhs = np.linalg.norm(gradient(p, X) - gradient(p, Y))
-            assert lhs <= L * np.linalg.norm(X - Y) * (1 + 1e-10)
+@settings(max_examples=300, deadline=None)
+@given(instances, st.sampled_from(["identity", "mask", "sensing"]), st.floats(0.0, 3.0),
+       st.booleans())
+def test_lipschitz_sampled_inequality(instance, kind, spread, tight):
+    # weights spread over w_max / w_min = 10^spread, up to 1e3; a tight case
+    # steps along the top eigenvector of the gradient's linear part
+    # H = A* diag(W~) A, where identity reaches the bound exactly
+    m, n, seed = instance
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        op = Identity((m, n))
+    elif kind == "mask":
+        op = EntryMask((rng.random((m, n)) < 0.6).astype(float))
+    else:
+        op = DenseSensing(rng.standard_normal((int(rng.integers(1, 16)), m * n)), (m, n))
+    W = 10.0 ** rng.uniform(0.0, spread, size=op.codomain_shape)
+    p = Problem(op, rng.standard_normal(op.codomain_shape), W, 1.0)
+    L = lipschitz_bound(p)
+    X = rng.standard_normal(op.domain_shape)
+    Y = rng.standard_normal(op.domain_shape)
+    if tight:
+        H = np.column_stack([vec(adjoint(op, p.W_tilde * apply(op, unvec(e, (m, n)))))
+                             for e in np.eye(m * n)])
+        Y = X + unvec(np.linalg.eigh(H)[1][:, -1], (m, n))
+    lhs = np.linalg.norm(gradient(p, X) - gradient(p, Y))
+    assert lhs <= L * np.linalg.norm(X - Y) * (1 + 1e-10)
 
 
 def test_lipschitz_bound_is_an_upper_bound_for_sensing():

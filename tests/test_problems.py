@@ -11,7 +11,7 @@ from lowrank.operators import DenseSensing, EntryMask, Identity
 from lowrank.problems import (AdditiveGaussian, AllOnes, GaussianScaled,
                               LargeOnSupport, SparseLarge, SyntheticSpec,
                               UniformInt, condition_number_sweep, fidelity,
-                              generate, generate_full, rmse, spec_from_dict,
+                              generate_full, rmse, spec_from_dict,
                               spec_to_dict)
 
 
@@ -61,7 +61,6 @@ def specs(draw):
     return SyntheticSpec(
         m, n, draw(st.integers(1, min(m, n) - 1)), noise=noise, weights=weights,
         mask_fraction=draw(st.floats(0.01, 1.0)) if kind == "mask" else None,
-        exact_mask_count=draw(st.booleans()),
         sensing_dim=draw(st.integers(1, 200)) if kind == "sensing" else None,
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -115,13 +114,6 @@ def test_mask_density_close_to_requested():
     assert abs(density - 0.5) <= 0.01 * 0.5
 
 
-def test_exact_mask_count():
-    gen = generate_full(
-        SyntheticSpec(40, 50, 2, mask_fraction=0.3, exact_mask_count=True, seed=1)
-    )
-    assert int(gen.op.mask.sum()) == int(np.floor(0.3 * 40 * 50))
-
-
 def test_uniform_int_weights_in_range():
     gen = generate_full(SyntheticSpec(50, 50, 2, weights=UniformInt(1, 10), seed=2))
     assert gen.W.min() >= 1.0 and gen.W.max() <= 10.0
@@ -173,11 +165,12 @@ def test_sensing_measurements_consistent():
     )
 
 
-def test_generate_returns_problem():
-    p, gt = generate(SyntheticSpec(10, 12, 2, seed=8), tau=0.5)
+def test_generated_problem_carries_tau():
+    gen = generate_full(SyntheticSpec(10, 12, 2, seed=8))
+    p = gen.problem(0.5)
     assert p.tau == 0.5
     assert p.domain_shape == (10, 12)
-    assert gt.shape == (10, 12)
+    assert gen.ground_truth.shape == (10, 12)
 
 
 def test_rmse_values():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lowrank import amfit, linalg, operators, problems, solver
 from lowrank.amfit import FactorPair, FixedI, Tolerance
 from lowrank.exceptions import DivergenceError
-from lowrank.linalg import DEFAULT_RANK_TOL, numerical_rank
+from lowrank.linalg import DEFAULT_RANK_TOL
 from lowrank.operators import Identity, Problem
 from lowrank.prox import svt
 from lowrank.solver import (Constant, Continuation, FistaLike, Online,
@@ -51,7 +51,8 @@ def assert_rc_budget(trace, cap, planted):
     tail = rs[grows[-1] - 1:] if grows else rs
     assert all(b <= a for a, b in zip(tail, tail[1:]))
     assert trace.final_rank == planted
-    assert numerical_rank(trace.X) == planted
+    assert np.linalg.matrix_rank(
+        trace.X, tol=DEFAULT_RANK_TOL * np.linalg.norm(trace.X, 2)) == planted
     assert planted <= rs[-1] <= planted + solver._RANK_MARGIN
 
 
@@ -135,6 +136,30 @@ def test_objective_descent_rule_zero():
     )
     trace = prograamme_solve(p, cfg, seed=2)
     obj = trace.column("objective")
+    for prev, cur in zip(obj, obj[1:]):
+        assert cur <= prev * (1 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(["identity", "mask", "sensing"]), st.floats(0.0, 3.0),
+       st.floats(-2.0, 1.0))
+def test_pgd_objective_never_increases(m, n, seed, kind, spread, log_tau):
+    # with gamma = 1/L and no inertia each prox-gradient step is a descent
+    # step, for weights spread up to w_max / w_min = 1e3
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        op = operators.Identity((m, n))
+    elif kind == "mask":
+        op = operators.EntryMask((rng.random((m, n)) < 0.6).astype(float))
+    else:
+        op = operators.DenseSensing(rng.standard_normal((int(rng.integers(1, 16)), m * n)),
+                                    (m, n))
+    W = 10.0 ** rng.uniform(0.0, spread, size=op.codomain_shape)
+    p = Problem(op, rng.standard_normal(op.codomain_shape), W, 10.0 ** log_tau)
+    trace = pgd_solve(p, SolverConfig(rule=Zero(), stop=Stopping(1e-12, 0.0, 200),
+                                      trace_level="full"))
+    obj = [operators.objective(p, np.zeros((m, n)))] + trace.column("objective")
     for prev, cur in zip(obj, obj[1:]):
         assert cur <= prev * (1 + 1e-12)
 
@@ -265,6 +290,20 @@ def test_sketched_rank_is_exact_or_declines(case, sketch_seed):
         assert got == k
 
 
+@pytest.mark.parametrize("rank, scale", [(0, 1.0), (1, 1.0), (4, 1.0), (5, 1e-6), (5, 1e6),
+                                         (12, 1.0)],
+                         ids=["zero_matrix", "outer_product", "factor_product",
+                              "scaled_down", "scaled_up", "full_budget"])
+def test_factored_rank_matches_dense_rank(rank, scale):
+    # U @ V has the given rank inside a budget of 12 columns
+    rng = np.random.default_rng(rank)
+    U = scale * (rng.standard_normal((20, rank)) @ rng.standard_normal((rank, 12)))
+    V = rng.standard_normal((12, rank)) @ rng.standard_normal((rank, 30))
+    X = U @ V
+    dense = np.linalg.matrix_rank(X, tol=DEFAULT_RANK_TOL * np.linalg.norm(X, 2))
+    assert solver._factored_rank(U, V, DEFAULT_RANK_TOL) == dense == rank
+
+
 def test_sketched_rank_skips_narrow_budgets():
     rng = np.random.default_rng(0)
     U = rng.standard_normal((50, 21))
@@ -321,10 +360,12 @@ def test_truncate_factors_validation():
     assert pair.r == 1
 
 
-def test_continuation_shrinks_budget_monotonically():
+def test_continuation_shrinks_budget_monotonically(monkeypatch):
     # rank 4 matches rc's starting budget, which then never moves and ends
     # binding, so the exit is certified; rank 8 at a smaller tau grows the
     # budget past the margin and then cuts it back
+    cadence = 5
+    monkeypatch.setattr(solver, "_CADENCE", cadence)
     for planted, tau_scale in ((4, 1.0), (8, 0.5)):
         spec = problems.SyntheticSpec(
             60, 60, planted, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.6, seed=5
@@ -334,7 +375,7 @@ def test_continuation_shrinks_budget_monotonically():
         cfg = SolverConfig(
             r=30,
             inner=Tolerance(1e-6, 50),
-            continuation=Continuation(enabled=True, cadence=5),
+            continuation=Continuation(enabled=True),
             stop=Stopping(1e-9, 0.0, 1000),
         )
         trace = prograamme_solve(p, cfg, seed=1)
@@ -345,7 +386,6 @@ def test_continuation_shrinks_budget_monotonically():
         # each move follows cadence equal reads of the rank of X
         rs = trace.column("r")
         ranks = trace.column("rank_x")
-        cadence = cfg.continuation.cadence
         for verb, r_from, r_to, k in budget_moves(trace, solver._RANK_MARGIN):
             i = k - 1
             assert i >= cadence - 1 and len(set(ranks[i - cadence + 1:i + 1])) == 1
@@ -361,7 +401,7 @@ def test_continuation_shrinks_budget_monotonically():
             assert trace.exit_residual is None
 
 
-def test_binding_budget_fails_its_exit_certificate():
+def test_binding_budget_fails_its_exit_certificate(monkeypatch):
     # the optimum has rank 11; a budget of 8 binds
     spec = problems.SyntheticSpec(
         40, 40, 10, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.7, seed=3
@@ -390,7 +430,8 @@ def test_binding_budget_fails_its_exit_certificate():
         assert trace.summary()["exit_residual"] == trace.exit_residual
     # below the cap, a failed certificate grows rc's budget and the run goes
     # on; a cadence longer than the run leaves growth to the certificate
-    trace = run(40, Continuation(enabled=True, cadence=10**6))
+    monkeypatch.setattr(solver, "_CADENCE", 10**6)
+    trace = run(40, Continuation(enabled=True))
     assert trace.converged
     assert sum("grown" in note for note in trace.notes) >= 2
     assert dist(trace) <= 1e-6
@@ -434,7 +475,7 @@ def test_rc_grows_from_its_small_start_to_the_optimum(case, extra):
         assert any("grown" in note for note in trace.notes)
 
 
-def test_exact_prox_budget_is_inert():
+def test_exact_prox_budget_is_inert(monkeypatch):
     # pgd's budget is min(m, n): X filling it does not bind, and continuation
     # neither cuts nor grows it
     rng = np.random.default_rng(4)
@@ -442,12 +483,13 @@ def test_exact_prox_budget_is_inert():
     F = rng.standard_normal((m, n))
     W = rng.uniform(0.8, 1.0, size=(m, n))
     # rank 8 = min(m, n) at the tiny tau; rank 3 at tau = 3 sits more than
-    # the margin below the budget, where rc would cut
+    # the margin below the budget, where rc would cut at once
+    monkeypatch.setattr(solver, "_CADENCE", 1)
     for tau, full in ((1e-8, True), (3.0, False)):
         p = Problem(Identity((m, n)), F, W, tau)
         for rule in (Zero(), FistaLike()):
             cfg = SolverConfig(rule=rule, stop=Stopping(1e-10, 0.0, 3000),
-                               continuation=Continuation(enabled=True, cadence=1))
+                               continuation=Continuation(enabled=True))
             trace = pgd_solve(p, cfg)
             assert trace.converged
             assert (trace.final_rank == min(m, n)) is full
@@ -597,9 +639,10 @@ def test_config_validation():
         SolverConfig(r=0)
     with pytest.raises(ValueError):
         SolverConfig(trace_level="verbose")
-    with pytest.raises(ValueError):
-        Continuation(cadence=0)
     # the rank read uses DEFAULT_RANK_TOL; a loose tolerance made rc read
-    # rank 0 and report convergence far from the optimum
+    # rank 0 and report convergence far from the optimum; rc moves its
+    # budget after _CADENCE equal reads
     with pytest.raises(TypeError):
         Continuation(enabled=True, rank_tol=1.0)
+    with pytest.raises(TypeError):
+        Continuation(cadence=0)
