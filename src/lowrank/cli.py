@@ -33,6 +33,8 @@ _SOLVERS = {"prograamme": prograamme_solve, "prograamme-rc": prograamme_solve,
 ALGORITHMS = tuple(_SOLVERS)
 
 _RULES = {"zero": Zero, "constant": Constant, "fista": FistaLike, "online": Online}
+#: The inertial rule each SVT baseline runs; the factored solvers take any rule.
+_SVT_RULES = {"pgd": Zero, "fista": FistaLike}
 _INNER = {"fixed": FixedI, "tolerance": Tolerance, "increasing": IncreasingI}
 _TAU_PRESETS = {"noise_norm": 1.0, "2*noise_norm": 2.0}
 #: The top-level config keys a run reads; any other key is refused.
@@ -79,18 +81,24 @@ def _parse(table, d, default):
     return table[d.pop("type")](**d)
 
 
-def build_solver_config(cfg, algorithm, trace_level=None):
+def build_solver_config(cfg, algorithm):
     """Turn a config dict into a SolverConfig for the named algorithm.
 
-    The algorithm alone decides rank continuation; fista with no rule (or
-    rule zero) uses FistaLike(). A key outside _CONFIG_KEYS is refused.
+    The algorithm alone decides rank continuation, and for pgd and fista
+    the inertial rule: pgd runs Zero and fista FistaLike, whose d a rule
+    of type "fista" may set; any other rule for them is refused. A key
+    outside _CONFIG_KEYS is refused.
     """
+    if algorithm not in _SOLVERS:
+        raise LowRankError(f"unknown algorithm {algorithm!r}")
     unread = sorted(set(cfg) - _CONFIG_KEYS)
     if unread:
         raise LowRankError(f"config key(s) not read by the solver: {', '.join(unread)}")
-    rule = _parse(_RULES, cfg.get("rule"), {"type": "zero"})
-    if algorithm == "fista" and isinstance(rule, Zero):
-        rule = FistaLike()
+    rule = _parse(_RULES, cfg.get("rule"), {"type": "fista" if algorithm == "fista" else "zero"})
+    fixed = _SVT_RULES.get(algorithm)
+    if fixed is not None and not isinstance(rule, fixed):
+        raise LowRankError(f"algorithm {algorithm!r} runs the {fixed.__name__} rule, "
+                           f"not a rule of type {cfg['rule']['type']!r}")
     return SolverConfig(
         gamma=cfg.get("gamma"),
         rule=rule,
@@ -98,7 +106,7 @@ def build_solver_config(cfg, algorithm, trace_level=None):
         r=int(cfg.get("r", 10)),
         continuation=Continuation(enabled=algorithm == "prograamme-rc"),
         stop=Stopping(**cfg.get("stop", {})),
-        trace_level=trace_level or cfg.get("trace_level", "light"),
+        trace_level=cfg.get("trace_level", "light"),
     )
 
 
@@ -160,57 +168,54 @@ def write_problem_dir(gen, out_dir):
 
 
 def load_problem_dir(problem_dir):
-    """Rebuild (op, F, W, noise_norm, ground_truth) from a problem directory."""
+    """Rebuild (op, F, W, noise_norm, manifest) from a problem directory."""
     pdir = Path(problem_dir)
     manifest = _read_json(pdir / "manifest.json")
-    # a solve needs no noise, only its norm from the manifest
+    shapes = manifest["shapes"]
+    # a solve reads neither the noise (only its norm) nor the ground truth
+    # (only its shape); both come from the manifest
     arrays = {name: read_matrix_csv(pdir / f"{name}.csv", shape)
-              for name, shape in manifest["shapes"].items() if name != "noise"}
-    shape = arrays["ground_truth"].shape
+              for name, shape in shapes.items() if name not in ("noise", "ground_truth")}
+    shape = tuple(shapes["ground_truth"])
     if "mask" in arrays:
         op = EntryMask(arrays["mask"])
     elif "sensing" in arrays:
         op = DenseSensing(arrays["sensing"], shape)
     else:
         op = Identity(shape)
-    return (op, arrays["F"], arrays["W"], float(manifest["noise_norm"]),
-            arrays["ground_truth"], manifest)
+    return op, arrays["F"], arrays["W"], float(manifest["noise_norm"]), manifest
 
 
 # ---------------------------------------------------------------------------
 # run helpers (importable; the click commands are thin wrappers)
 
-def run_solver(algorithm, problem, cfg, X0=None, seed=0):
-    if algorithm not in _SOLVERS:
-        raise LowRankError(f"unknown algorithm {algorithm!r}")
-    return _SOLVERS[algorithm](problem, cfg, X0, seed=seed)
+def _run(op, F, W, noise_norm, config, algorithm, seed, out):
+    """Solve one problem under a config dict; write trace.csv and summary.json.
 
-
-def _write_run(out, trace, cfg, algorithm, tau):
-    """Write trace.csv and summary.json of one finished solve into `out`."""
+    `out` is created once the solve has finished. Returns the SolveTrace.
+    """
+    tau = resolve_tau(config, noise_norm)
+    cfg = build_solver_config(config, algorithm)
+    trace = _SOLVERS[algorithm](Problem(op, F, W, tau), cfg, seed=seed)
+    out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv")
     summary = trace.summary(cfg, algorithm)
     summary.update({"tau": tau, "version": __version__})
     if isinstance(cfg.rule, FistaLike):
         summary["inertial_rule"] = f"a_k = (k-1)/(k+{cfg.rule.d:g})"
     _write_json(out / "summary.json", summary)
+    return trace
 
 
-def solve_once(problem_dir, config, algorithm, out_dir, seed=None, trace_level=None):
-    """Load a problem directory, run one solver, write trace and summary.
+def solve_once(problem_dir, config, algorithm, out_dir, seed=None):
+    """Load a problem directory, run one solver, write trace, summary and run manifest.
 
     Returns the SolveTrace. Raises on validation and I/O problems.
     """
-    op, F, W, noise_norm, _, manifest = load_problem_dir(problem_dir)
-    tau = resolve_tau(config, noise_norm)
-    problem = Problem(op, F, W, tau)
-    cfg = build_solver_config(config, algorithm, trace_level)
+    op, F, W, noise_norm, manifest = load_problem_dir(problem_dir)
     run_seed = resolve_seed(config.get("seed", 0), seed)
-    trace = run_solver(algorithm, problem, cfg, seed=run_seed)
-
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run(out, trace, cfg, algorithm, tau)
+    trace = _run(op, F, W, noise_norm, config, algorithm, run_seed, out)
     _write_json(out / "run_manifest.json", {
         "version": __version__,
         "algorithm": algorithm,
@@ -230,8 +235,9 @@ AGGREGATE_HEADER = [
 def run_bench(suite, out_dir, repeats, seed=None):
     """Run every (spec, config, algorithm) triple `repeats` times.
 
-    Each repeat uses a derived seed (spec seed + repeat index). Diverging
-    runs are recorded in the aggregate rather than aborting the sweep.
+    Each repeat uses a derived seed (suite seed + spec seed + repeat index),
+    so a run's config may hold no seed. Diverging runs are recorded in the
+    aggregate rather than aborting the sweep.
 
     Returns the list of aggregate row dicts.
     """
@@ -245,19 +251,20 @@ def run_bench(suite, out_dir, repeats, seed=None):
         algorithm = entry["algorithm"]
         spec = problems.spec_from_dict(entry["spec"])
         config = dict(entry["config"])
+        if "seed" in config:
+            raise LowRankError(f"run {name!r}: config key(s) not read by the solver: seed")
         times, iters, rmses, ranks = [], [], [], []
         converged_all = True
         diverged = 0
         for rep in range(repeats):
             run_seed = base_seed + spec.seed + rep
             gen = problems.generate_full(dataclasses.replace(spec, seed=run_seed))
-            tau = resolve_tau(config, gen.noise_norm)
-            problem = gen.problem(tau)
-            cfg = build_solver_config(config, algorithm)
             rep_dir = out / name / f"rep{rep}"
+            # made before the solve, so that a diverging run leaves its partial trace
             rep_dir.mkdir(parents=True, exist_ok=True)
             try:
-                trace = run_solver(algorithm, problem, cfg, seed=run_seed)
+                trace = _run(gen.op, gen.F, gen.W, gen.noise_norm, config, algorithm,
+                             run_seed, rep_dir)
             except DivergenceError as exc:
                 diverged += 1
                 converged_all = False
@@ -265,7 +272,6 @@ def run_bench(suite, out_dir, repeats, seed=None):
                 if exc.trace is not None:
                     exc.trace.write_csv(rep_dir / "trace.csv")
                 continue
-            _write_run(rep_dir, trace, cfg, algorithm, tau)
             times.append(trace.seconds)
             iters.append(trace.iterations)
             ranks.append(trace.final_rank)
@@ -326,12 +332,10 @@ def cmd_generate(spec_file, out_dir, seed):
 @click.option("--algo", "algorithm", required=True, type=click.Choice(ALGORITHMS))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--trace-level", type=click.Choice(["light", "full"]), default=None)
 @_exit_codes()
-def cmd_solve(problem_dir, config_file, algorithm, out_dir, seed, trace_level):
+def cmd_solve(problem_dir, config_file, algorithm, out_dir, seed):
     """Run a solver on a problem directory; write trace.csv and summary.json."""
-    trace = solve_once(problem_dir, _read_json(config_file), algorithm, out_dir,
-                       seed=seed, trace_level=trace_level)
+    trace = solve_once(problem_dir, _read_json(config_file), algorithm, out_dir, seed=seed)
     if not trace.converged:
         if trace.exit_residual is not None:
             click.echo(f"stopped after {trace.iterations} iterations on a binding rank "

@@ -12,7 +12,6 @@ budget, or the exact SVT.
 
 import csv
 import time
-import warnings
 from dataclasses import dataclass, field, asdict, astuple, fields
 
 import numpy as np
@@ -241,11 +240,8 @@ def truncate_factors(U, V, new_r):
     r = U.shape[1]
     if V.shape[0] != r:
         raise DimensionError(f"inner dimensions differ: {U.shape} x {V.shape}")
-    if new_r > r:
-        raise ValueError(f"new_r={new_r} exceeds current factor rank {r}")
-    if new_r == 0:
-        warnings.warn("rank-0 factor budget is degenerate; using rank 1")
-        new_r = 1
+    if not 1 <= new_r <= r:
+        raise ValueError(f"new_r={new_r} lies outside [1, r] for the factor rank r={r}")
     Qu, Ru = np.linalg.qr(U)
     Qv, Rv = np.linalg.qr(V.T)
     P, s, Qt = np.linalg.svd(Ru @ Rv.T)
@@ -464,22 +460,22 @@ def _solve(p, cfg, X0, seed, exact):
     for k in range(1, cfg.stop.max_iter + 1):
         t0 = time.perf_counter()
         Z = _gradient_step(p, X, X_prev, inertial_value(cfg.rule, k, step_prev), gamma)
-        if not np.all(np.isfinite(Z)):
-            raise divergence("gradient step")
-        if exact:
-            X_new, rank_x = prox.svt_with_rank(Z, mu)
-            inner_iters = 0
-        else:
-            policy = cfg.inner.resolve(k) if isinstance(cfg.inner, IncreasingI) else cfg.inner
-            if pair.is_zero():
-                # degenerate fixed point of the inner iteration; restart
-                pair = amfit.random_pair(m, n, r, rng)
-            try:
+        # both prox steps validate Z on entry, so Z is read for non-finite
+        # entries only when one of them refuses a non-finite matrix
+        try:
+            if exact:
+                X_new, rank_x = prox.svt_with_rank(Z, mu)
+                inner_iters = 0
+            else:
+                policy = cfg.inner.resolve(k) if isinstance(cfg.inner, IncreasingI) else cfg.inner
+                if pair.is_zero():
+                    # degenerate fixed point of the inner iteration; restart
+                    pair = amfit.random_pair(m, n, r, rng)
                 pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
-            except NonFiniteError as exc:
-                # Z is finite, so an overflow inside the alternating passes
-                raise divergence("inner solve") from exc
-            X_new = pair.product()
+                X_new = pair.product()
+        except NonFiniteError as exc:
+            # with Z finite, an overflow inside the alternating passes
+            raise divergence("inner solve" if np.all(np.isfinite(Z)) else "gradient step") from exc
         step = float(np.linalg.norm(X_new - X))
         if _diverged(step, X_new):
             raise divergence("iterate")

@@ -49,12 +49,16 @@ def test_solve_with_empty_inner_budget_exits_2(tmp_path, problem_dir, inner):
 
 # each run parameter has one setter: --algo picks rc and rule.d sets FISTA's
 # d, so continuation and fista_d are refused; R and a top-level max_iter,
-# misspellings of r and stop.max_iter, would otherwise run on the defaults
-@pytest.mark.parametrize("key, value", [("continuation", {"rank_tol": 1.0}),
-                                        ("fista_d", 5.0), ("R", 50), ("max_iter", 5)],
-                         ids=["continuation", "fista_d", "R", "max_iter"])
-@pytest.mark.parametrize("command", ["solve", "bench"])
-def test_unread_config_key_exits_2(tmp_path, problem_dir, key, value, command):
+# misspellings of r and stop.max_iter, would otherwise run on the defaults;
+# a bench run's seed comes from the suite, so its config may hold none
+UNREAD = {"continuation": {"rank_tol": 1.0}, "fista_d": 5.0, "R": 50, "max_iter": 5}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(command, key, value, id=f"{command}-{key}")
+    for command, keys in (("solve", UNREAD), ("bench", dict(UNREAD, seed=3)))
+    for key, value in keys.items()])
+def test_unread_config_key_exits_2(tmp_path, problem_dir, command, key, value):
     config = dict(CONFIG, **{key: value})
     if command == "solve":
         result = invoke(tmp_path, "solve", config, "--problem", str(problem_dir),
@@ -65,6 +69,21 @@ def test_unread_config_key_exits_2(tmp_path, problem_dir, key, value, command):
         result = invoke(tmp_path, "bench", suite)
     assert result.exit_code == cli.EXIT_VALIDATION, result.output
     assert f"not read by the solver: {key}" in result.output
+
+
+# the SVT baselines run the method their name gives: pgd no inertia, fista
+# the FISTA rule, whose d alone the config may set
+@pytest.mark.parametrize("algorithm, rule", [("pgd", {"type": "fista", "d": 5}),
+                                             ("fista", {"type": "zero"}),
+                                             ("fista", {"type": "constant", "a": 0.3})],
+                         ids=["pgd-fista", "fista-zero", "fista-constant"])
+def test_svt_baseline_refuses_another_rule(tmp_path, problem_dir, algorithm, rule):
+    result = invoke(tmp_path, "solve", dict(CONFIG, rule=rule),
+                    "--problem", str(problem_dir), "--algo", algorithm)
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert f"algorithm {algorithm!r}" in result.output
+    assert f"rule of type {rule['type']!r}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_with_exact_mask_count_exits_2(tmp_path):

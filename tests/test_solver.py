@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowrank import amfit, linalg, operators, problems, solver
-from lowrank.amfit import FactorPair, FixedI, Tolerance
+from lowrank.amfit import FactorPair, FixedI, IncreasingI, Tolerance
 from lowrank.exceptions import DivergenceError
 from lowrank.linalg import DEFAULT_RANK_TOL
 from lowrank.operators import Identity, Problem
@@ -126,6 +126,27 @@ def test_solver_agreement_small():
     assert prog.converged and pgd.converged
     dist = np.linalg.norm(prog.X - pgd.X) / max(np.linalg.norm(pgd.X), 1.0)
     assert dist <= 1e-6
+
+
+@pytest.mark.parametrize("rule", [Online(), Constant(0.5)], ids=repr)
+def test_factored_inertial_rules_reach_pgd(rule):
+    p, _ = small_completion_problem()
+    stop = Stopping(1e-10, 0.0, 2000)
+    prog = prograamme_solve(
+        p, SolverConfig(r=10, rule=rule, inner=Tolerance(1e-10, 500), stop=stop), seed=1
+    )
+    pgd = pgd_solve(p, SolverConfig(stop=stop))
+    assert prog.converged and pgd.converged
+    dist = np.linalg.norm(prog.X - pgd.X) / max(np.linalg.norm(pgd.X), 1.0)
+    assert dist <= 1e-6
+
+
+def test_increasing_inner_passes_follow_their_schedule():
+    p, _ = small_completion_problem()
+    cfg = SolverConfig(r=10, inner=IncreasingI(1, 5), stop=Stopping(0.0, 0.0, 23))
+    trace = prograamme_solve(p, cfg, seed=1)
+    assert trace.iterations == 23
+    assert trace.column("inner_iters") == [1 + (k - 1) // 5 for k in trace.column("k")]
 
 
 def test_objective_descent_rule_zero():
@@ -355,9 +376,8 @@ def test_sketched_rank_leaves_traces_bit_identical(monkeypatch):
 def test_truncate_factors_validation():
     with pytest.raises(ValueError):
         truncate_factors(np.ones((4, 2)), np.ones((2, 4)), 3)
-    with pytest.warns(UserWarning):
-        pair = truncate_factors(np.ones((4, 2)), np.ones((2, 4)), 0)
-    assert pair.r == 1
+    with pytest.raises(ValueError):
+        truncate_factors(np.ones((4, 2)), np.ones((2, 4)), 0)
 
 
 def test_continuation_shrinks_budget_monotonically(monkeypatch):
@@ -502,12 +522,16 @@ def test_exact_prox_budget_is_inert(monkeypatch):
 def test_divergent_step_raises():
     p, _ = small_completion_problem()
     L = 1.0  # unit weights, mask operator
-    for solve, continuation in ((pgd_solve, False), (prograamme_solve, False),
-                                (prograamme_solve, True)):
+    # the SVT step refuses the non-finite gradient step; the alternating
+    # passes overflow first, on a finite gradient step
+    for solve, continuation, phase in (
+            (pgd_solve, False, "^gradient step became non-finite"),
+            (prograamme_solve, False, "^inner solve became non-finite"),
+            (prograamme_solve, True, "^inner solve became non-finite")):
         cfg = SolverConfig(gamma=50.0 / L, stop=Stopping(0.0, 0.0, 5000),
                            continuation=Continuation(enabled=continuation))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                DivergenceError, match="became non-finite") as exc_info:
+                DivergenceError, match=phase) as exc_info:
             solve(p, cfg)
         trace = exc_info.value.trace
         assert trace is not None and len(trace.records) == trace.iterations > 0
