@@ -38,7 +38,7 @@ _SVT_RULES = {"pgd": Zero, "fista": FistaLike}
 _INNER = {"fixed": FixedI, "tolerance": Tolerance, "increasing": IncreasingI}
 _TAU_PRESETS = {"noise_norm": 1.0, "2*noise_norm": 2.0}
 #: The top-level config keys a run reads; any other key is refused.
-_CONFIG_KEYS = {"tau", "seed", "gamma", "r", "rule", "inner", "stop", "trace_level"}
+_CONFIG_KEYS = {"tau", "gamma", "r", "rule", "inner", "stop", "trace_level"}
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,8 @@ def solve_once(problem_dir, config, algorithm, out_dir, seed=None):
     op, F, W, noise_norm, manifest = load_problem_dir(problem_dir)
     run_seed = resolve_seed(config.get("seed", 0), seed)
     out = Path(out_dir)
-    trace = _run(op, F, W, noise_norm, config, algorithm, run_seed, out)
+    solver_config = {key: value for key, value in config.items() if key != "seed"}
+    trace = _run(op, F, W, noise_norm, solver_config, algorithm, run_seed, out)
     _write_json(out / "run_manifest.json", {
         "version": __version__,
         "algorithm": algorithm,
@@ -251,8 +252,6 @@ def run_bench(suite, out_dir, repeats, seed=None):
         algorithm = entry["algorithm"]
         spec = problems.spec_from_dict(entry["spec"])
         config = dict(entry["config"])
-        if "seed" in config:
-            raise LowRankError(f"run {name!r}: config key(s) not read by the solver: seed")
         times, iters, rmses, ranks = [], [], [], []
         converged_all = True
         diverged = 0
@@ -260,8 +259,6 @@ def run_bench(suite, out_dir, repeats, seed=None):
             run_seed = base_seed + spec.seed + rep
             gen = problems.generate_full(dataclasses.replace(spec, seed=run_seed))
             rep_dir = out / name / f"rep{rep}"
-            # made before the solve, so that a diverging run leaves its partial trace
-            rep_dir.mkdir(parents=True, exist_ok=True)
             try:
                 trace = _run(gen.op, gen.F, gen.W, gen.noise_norm, config, algorithm,
                              run_seed, rep_dir)
@@ -270,6 +267,7 @@ def run_bench(suite, out_dir, repeats, seed=None):
                 converged_all = False
                 warnings_seen.append(f"{name} rep {rep}: {exc}")
                 if exc.trace is not None:
+                    rep_dir.mkdir(parents=True, exist_ok=True)
                     exc.trace.write_csv(rep_dir / "trace.csv")
                 continue
             times.append(trace.seconds)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from lowrank import cli, problems, solver
 from lowrank.amfit import FixedI, Tolerance
+from lowrank.linalg import read_matrix_csv
 from lowrank.solver import Constant, FistaLike, Zero
 
 
@@ -82,12 +83,14 @@ def test_problem_dir_round_trips(tmp_path, kind):
     gen = problems.generate_full(spec)
     cli.write_problem_dir(gen, tmp_path)
     op, F, W, noise_norm, manifest = cli.load_problem_dir(tmp_path)
+    # a solve reads only the shape of the ground truth, but the file holds all of it
+    gt = read_matrix_csv(tmp_path / "ground_truth.csv", manifest["shapes"]["ground_truth"])
     assert type(op) is type(gen.op)
     assert op.domain_shape == gen.op.domain_shape
     for name in ("mask", "S"):
         if hasattr(gen.op, name):
             assert getattr(op, name).tobytes() == getattr(gen.op, name).tobytes()
-    for got, want in ((F, gen.F), (W, gen.W)):
+    for got, want in ((F, gen.F), (W, gen.W), (gt, gen.ground_truth)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert noise_norm == gen.noise_norm
     assert problems.spec_from_dict(manifest["spec"]) == spec
@@ -339,6 +342,29 @@ def test_bench_single_repeat_stats_collapse(tmp_path, runner):
     with open(out / "aggregate.csv", newline="") as fh:
         row = next(csv.DictReader(fh))
     assert row["min_wall_s"] == row["max_wall_s"] == row["mean_wall_s"]
+
+
+def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
+    # a step far above 1/L makes pgd diverge; the sweep goes on and keeps the trace
+    config = dict(BENCH_CONFIG, gamma=50.0, stop={"step_tol": 0.0, "max_iter": 5000})
+    suite = {"seed": 0, "runs": [{"name": "wild", "algorithm": "pgd",
+                                  "spec": SPEC, "config": config}]}
+    suite_file = tmp_path / "suite.json"
+    write_json(suite_file, suite)
+    out = tmp_path / "bench"
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(cli.main, [
+            "bench", "--suite", str(suite_file), "--out", str(out),
+        ])
+    assert result.exit_code == 0, result.output
+    with open(out / "aggregate.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["diverged"] == "1" and row["all_converged"] == "False"
+    with open(out / "wild" / "rep0" / "trace.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) > 0
+    assert not (out / "wild" / "rep0" / "summary.json").exists()
+    with open(out / "bench_manifest.json") as fh:
+        assert "gradient step became non-finite" in json.load(fh)["warnings"][0]
 
 
 def test_bench_malformed_suite_exits_2(tmp_path, runner):

@@ -69,6 +69,7 @@ def test_unread_config_key_exits_2(tmp_path, problem_dir, command, key, value):
         result = invoke(tmp_path, "bench", suite)
     assert result.exit_code == cli.EXIT_VALIDATION, result.output
     assert f"not read by the solver: {key}" in result.output
+    assert not (tmp_path / "out" / "a").exists()
 
 
 # the SVT baselines run the method their name gives: pgd no inertia, fista
