@@ -12,7 +12,7 @@ plus synthetic problem generators and a benchmark CLI.
 __version__ = "0.1.0"
 
 from .amfit import FactorPair, FixedI, IncreasingI, Tolerance, inner_solve
-from .operators import DenseSensing, EntryMask, Identity, Problem
+from .operators import DenseSensing, Identity, Problem
 from .problems import SyntheticSpec, generate_full, rmse
 from .prox import svt
 from .solver import (Constant, Continuation, FistaLike, Online, SolveTrace,
@@ -21,7 +21,7 @@ from .solver import (Constant, Continuation, FistaLike, Online, SolveTrace,
 
 __all__ = [
     "__version__",
-    "Problem", "Identity", "EntryMask", "DenseSensing",
+    "Problem", "Identity", "DenseSensing",
     "FactorPair", "FixedI", "Tolerance", "IncreasingI", "inner_solve",
     "svt",
     "SolverConfig", "Stopping", "Continuation", "SolveTrace",

@@ -8,7 +8,6 @@ iteration cap without converging, 4 I/O failure.
 import csv
 import dataclasses
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,7 +19,7 @@ from . import __version__, problems
 from .amfit import FixedI, IncreasingI, Tolerance
 from .exceptions import DivergenceError, LowRankError
 from .linalg import read_matrix_csv, write_matrix_csv
-from .operators import DenseSensing, EntryMask, Identity, Problem
+from .operators import DenseSensing, Identity, Problem
 from .solver import (Constant, Continuation, FistaLike, Online, SolverConfig,
                      Stopping, Zero, pgd_solve, prograamme_solve)
 
@@ -127,33 +126,21 @@ def resolve_tau(cfg, noise_norm=None):
 
 
 def resolve_seed(file_seed, cli_seed):
-    """Seed precedence: command-line flag, then LOWRANK_SEED, then the file."""
-    if cli_seed is not None:
-        return int(cli_seed)
-    env = os.environ.get("LOWRANK_SEED")
-    if env is not None:
-        return int(env)
-    return int(file_seed)
+    """Seed precedence: the command-line flag, then the file."""
+    return int(file_seed if cli_seed is None else cli_seed)
 
 
 # ---------------------------------------------------------------------------
 # problem directory format: one <name>.csv per array, shapes in manifest.json
-
-def _operator_arrays(op):
-    """The operator's arrays on disk: mask.csv, sensing.csv or none."""
-    if isinstance(op, EntryMask):
-        return {"mask": op.mask}
-    if isinstance(op, DenseSensing):
-        return {"sensing": op.S}
-    return {}
-
 
 def write_problem_dir(gen, out_dir):
     """Write the CSV artifacts plus a manifest for one generated problem."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     arrays = {"F": gen.F, "W": gen.W, "ground_truth": gen.ground_truth,
-              "noise": gen.noise, **_operator_arrays(gen.op)}
+              "noise": gen.noise}
+    if isinstance(gen.op, DenseSensing):
+        arrays["sensing"] = gen.op.S
     for name, A in arrays.items():
         write_matrix_csv(out / f"{name}.csv", A)
     manifest = {
@@ -172,35 +159,34 @@ def load_problem_dir(problem_dir):
     pdir = Path(problem_dir)
     manifest = _read_json(pdir / "manifest.json")
     shapes = manifest["shapes"]
+    if "mask" in shapes:
+        # generate folds a mask into F and W; the F of a directory with a
+        # mask holds unobserved entries, which a solve without it would fit
+        raise LowRankError(f"{pdir} lists a mask, which is read only as part of W; "
+                           "regenerate it with `lowrank generate` from the spec "
+                           "in its manifest.json")
     # a solve reads neither the noise (only its norm) nor the ground truth
     # (only its shape); both come from the manifest
     arrays = {name: read_matrix_csv(pdir / f"{name}.csv", shape)
               for name, shape in shapes.items() if name not in ("noise", "ground_truth")}
     shape = tuple(shapes["ground_truth"])
-    if "mask" in arrays:
-        op = EntryMask(arrays["mask"])
-    elif "sensing" in arrays:
-        op = DenseSensing(arrays["sensing"], shape)
-    else:
-        op = Identity(shape)
+    op = DenseSensing(arrays["sensing"], shape) if "sensing" in arrays else Identity(shape)
     return op, arrays["F"], arrays["W"], float(manifest["noise_norm"]), manifest
 
 
 # ---------------------------------------------------------------------------
 # run helpers (importable; the click commands are thin wrappers)
 
-def _run(op, F, W, noise_norm, config, algorithm, seed, out):
-    """Solve one problem under a config dict; write trace.csv and summary.json.
+def _run(p, cfg, algorithm, seed, out):
+    """Solve p under a SolverConfig; write trace.csv and summary.json.
 
     `out` is created once the solve has finished. Returns the SolveTrace.
     """
-    tau = resolve_tau(config, noise_norm)
-    cfg = build_solver_config(config, algorithm)
-    trace = _SOLVERS[algorithm](Problem(op, F, W, tau), cfg, seed=seed)
+    trace = _SOLVERS[algorithm](p, cfg, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out / "trace.csv")
     summary = trace.summary(cfg, algorithm)
-    summary.update({"tau": tau, "version": __version__})
+    summary.update({"tau": p.tau, "version": __version__})
     if isinstance(cfg.rule, FistaLike):
         summary["inertial_rule"] = f"a_k = (k-1)/(k+{cfg.rule.d:g})"
     _write_json(out / "summary.json", summary)
@@ -216,7 +202,9 @@ def solve_once(problem_dir, config, algorithm, out_dir, seed=None):
     run_seed = resolve_seed(config.get("seed", 0), seed)
     out = Path(out_dir)
     solver_config = {key: value for key, value in config.items() if key != "seed"}
-    trace = _run(op, F, W, noise_norm, solver_config, algorithm, run_seed, out)
+    cfg = build_solver_config(solver_config, algorithm)
+    p = Problem(op, F, W, resolve_tau(solver_config, noise_norm))
+    trace = _run(p, cfg, algorithm, run_seed, out)
     _write_json(out / "run_manifest.json", {
         "version": __version__,
         "algorithm": algorithm,
@@ -237,21 +225,25 @@ def run_bench(suite, out_dir, repeats, seed=None):
     """Run every (spec, config, algorithm) triple `repeats` times.
 
     Each repeat uses a derived seed (suite seed + spec seed + repeat index),
-    so a run's config may hold no seed. Diverging runs are recorded in the
-    aggregate rather than aborting the sweep.
+    so a run's config may hold no seed. Every run's spec, SolverConfig and
+    tau field are checked before the first solve. Diverging runs are
+    recorded in the aggregate rather than aborting the sweep.
 
     Returns the list of aggregate row dicts.
     """
+    base_seed = resolve_seed(suite.get("seed", 0), seed)
+    runs = []
+    for entry in suite["runs"]:
+        config = entry["config"]
+        # checks the key and the preset name; the noise norm comes per repeat
+        resolve_tau(config, 0.0)
+        runs.append((entry["name"], entry["algorithm"], problems.spec_from_dict(entry["spec"]),
+                     config, build_solver_config(config, entry["algorithm"])))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base_seed = resolve_seed(suite.get("seed", 0), seed)
     rows = []
     warnings_seen = []
-    for entry in suite["runs"]:
-        name = entry["name"]
-        algorithm = entry["algorithm"]
-        spec = problems.spec_from_dict(entry["spec"])
-        config = dict(entry["config"])
+    for name, algorithm, spec, config, cfg in runs:
         times, iters, rmses, ranks = [], [], [], []
         converged_all = True
         diverged = 0
@@ -259,9 +251,9 @@ def run_bench(suite, out_dir, repeats, seed=None):
             run_seed = base_seed + spec.seed + rep
             gen = problems.generate_full(dataclasses.replace(spec, seed=run_seed))
             rep_dir = out / name / f"rep{rep}"
+            p = gen.problem(resolve_tau(config, gen.noise_norm))
             try:
-                trace = _run(gen.op, gen.F, gen.W, gen.noise_norm, config, algorithm,
-                             run_seed, rep_dir)
+                trace = _run(p, cfg, algorithm, run_seed, rep_dir)
             except DivergenceError as exc:
                 diverged += 1
                 converged_all = False

@@ -1,9 +1,10 @@
 """Observation operators and the weighted least-squares loss.
 
 An observation operator maps the m x n recovery domain to the measurement
-space. Three variants are supported: the identity map, an entrywise 0/1
-mask (matrix completion), and a dense sensing matrix acting on the
-column-stacked vectorization of the input (compressed sensing).
+space. Two variants are supported: the identity map and a dense sensing
+matrix acting on the column-stacked vectorization of the input (compressed
+sensing). Matrix completion is the identity with W zero off the observed
+set: a 0/1 mask is part of the weights, not of the operator.
 
 Each operator carries its own maps: `apply(X)` and `adjoint(R)` on
 operands already validated, `operator_norm`, and `weighted_gram(W_tilde)`,
@@ -52,34 +53,6 @@ class Identity:
 
     # self-adjoint, and op* diag(W_tilde) op = diag(W_tilde): W_bar is
     # W_tilde itself, not a copy
-    adjoint = weighted_gram = apply
-
-
-@dataclass(frozen=True)
-class EntryMask:
-    """Entrywise 0/1 mask; observed entries are those where the mask is 1."""
-
-    mask: np.ndarray
-    operator_norm = 1.0
-
-    def __post_init__(self):
-        m = as_matrix(self.mask, "mask")
-        if not np.all((m == 0.0) | (m == 1.0)):
-            raise ValueError("mask entries must be 0 or 1")
-        object.__setattr__(self, "mask", m)
-
-    @property
-    def domain_shape(self):
-        return self.mask.shape
-
-    @property
-    def codomain_shape(self):
-        return self.mask.shape
-
-    def apply(self, X):
-        return self.mask * X
-
-    # self-adjoint, and mask . W_tilde . mask = mask . W_tilde for a 0/1 mask
     adjoint = weighted_gram = apply
 
 
@@ -151,8 +124,9 @@ class Problem:
 
     Minimizes 0.5 * |(op(X) - F) . W|^2 + tau * |X|_* over X. The squared
     weights W_tilde = W . W are cached at construction, and so is
-    W_bar = op.weighted_gram(W_tilde): mask . W_tilde for EntryMask,
-    W_tilde itself (not a copy) for Identity, None for DenseSensing.
+    W_bar = op.weighted_gram(W_tilde): W_tilde itself (not a copy) for
+    Identity, None for DenseSensing. The observed set of a completion
+    problem is the support of W.
     """
 
     op: object
@@ -197,10 +171,10 @@ def loss(p, X):
 def gradient(p, X):
     """Gradient of the smooth loss at X: op*((op(X) - F) . W_tilde).
 
-    X is validated once. With W_bar cached (Identity, EntryMask) this is
+    X is validated once. With W_bar cached (Identity) this is
     (X - F) . W_bar, two passes over one new array. It equals the
-    adjoint(apply(...)) form bit for bit, up to the sign of zeros at
-    unobserved entries. Dense sensing takes the adjoint(apply(...)) form.
+    adjoint(apply(...)) form bit for bit. Dense sensing takes the
+    adjoint(apply(...)) form.
     """
     X = as_matrix(X, "X")
     if X.shape != p.domain_shape:
@@ -217,11 +191,11 @@ def gradient(p, X):
 def lipschitz_bound(p):
     """Upper bound on the Lipschitz constant of the loss gradient.
 
-    Equals the squared operator norm times the largest squared weight. The
-    identity and mask operators have unit norm; dense sensing uses an upper
-    bound on the spectral norm of the sensing matrix, at most 1e-10 above
-    it relatively. So gamma = 1/L never exceeds the step bound 1/L of the
-    convergence theory.
+    Equals the squared operator norm times the largest squared weight, so
+    unobserved entries (zero weight) do not count. The identity has unit
+    norm; dense sensing uses an upper bound on the spectral norm of the
+    sensing matrix, at most 1e-10 above it relatively. So gamma = 1/L never
+    exceeds the step bound 1/L of the convergence theory.
     """
     w_max = float(np.max(p.W_tilde))
     if w_max == 0.0:

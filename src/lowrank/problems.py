@@ -13,7 +13,7 @@ import numpy as np
 from . import linalg
 from .exceptions import DimensionError, InvalidSpecError, UndefinedMetricError
 from .linalg import as_matrix
-from .operators import DenseSensing, EntryMask, Identity, Problem
+from .operators import DenseSensing, Identity, Problem
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +76,10 @@ _WEIGHT_TYPES = {c.__name__: c for c in (AllOnes, UniformInt, LargeOnSupport)}
 class SyntheticSpec:
     """Recipe for one synthetic recovery instance.
 
-    mask_fraction switches on an entry-mask (matrix completion) operator;
-    sensing_dim switches on a dense Gaussian sensing operator of that many
-    measurements. At most one of the two may be set.
+    mask_fraction observes a random set of entries (matrix completion): the
+    weights, and F, are zero off it. sensing_dim switches on a dense
+    Gaussian sensing operator of that many measurements. At most one of the
+    two may be set.
     """
 
     m: int
@@ -142,7 +143,9 @@ def spec_from_dict(d):
 class GeneratedProblem:
     """Full output of the generator, including pieces the Problem drops.
 
-    The mask or sensing matrix, if any, is op.mask or op.S.
+    The sensing matrix, if any, is op.S. A completion mask is folded into W
+    and F, both zero off the observed set; noise is the full draw, observed
+    or not, so noise_norm does not depend on the mask.
     """
 
     spec: SyntheticSpec
@@ -205,7 +208,8 @@ def generate_full(spec):
     """Generate one instance, retaining the ground truth and the noise.
 
     Draw order is fixed (factors, mask/sensing, noise, weights) so a given
-    (spec, seed) always produces identical output.
+    (spec, seed) always produces identical output. A mask multiplies F and
+    the drawn weights.
     """
     rng = np.random.default_rng(spec.seed)
     m, n = spec.m, spec.n
@@ -218,14 +222,15 @@ def generate_full(spec):
         # measurement and domain scales match
         d = spec.sensing_dim
         op = DenseSensing(rng.standard_normal((d, m * n)) / np.sqrt(d), (m, n))
-    elif spec.mask_fraction is not None:
-        op = EntryMask((rng.random((m, n)) < spec.mask_fraction).astype(float))
     else:
         op = Identity((m, n))
+    mask = 1.0
+    if spec.mask_fraction is not None:
+        mask = (rng.random((m, n)) < spec.mask_fraction).astype(float)
     noise = _make_noise(rng, spec, op.codomain_shape, X)
-    F = op.apply(X) + noise
+    F = (op.apply(X) + noise) * mask
 
-    W = _make_weights(rng, spec, op.codomain_shape)
+    W = _make_weights(rng, spec, op.codomain_shape) * mask
     return GeneratedProblem(spec, op, F, W, X, noise)
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix
 
 
 def svt(Z, gamma):
@@ -17,10 +16,12 @@ def svt(Z, gamma):
 
 
 def svt_with_rank(Z, gamma):
-    """Like :func:`svt` but also returns the rank of the result."""
+    """Like :func:`svt` but also returns the rank of the result.
+
+    linalg.thin_svd validates Z, once.
+    """
     if gamma < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {gamma}")
-    Z = as_matrix(Z, "Z")
     P, s, Qt = linalg.thin_svd(Z)
     s_thr = np.maximum(s - gamma, 0.0)
     rank = int(np.count_nonzero(s_thr))

@@ -15,7 +15,7 @@ from lowrank import problems
 from lowrank.amfit import FixedI, Tolerance, inner_solve, random_pair
 from lowrank.cli import run_bench
 from lowrank.linalg import DEFAULT_RANK_TOL
-from lowrank.operators import (DenseSensing, EntryMask, Identity, Problem,
+from lowrank.operators import (DenseSensing, Identity, Problem,
                                gradient, lipschitz_bound, loss)
 from lowrank.problems import AdditiveGaussian, SyntheticSpec, UniformInt
 from lowrank.prox import svt_with_rank
@@ -132,16 +132,17 @@ def test_gradient_matches_finite_differences():
     worst = 0.0
     mask = (rng.random((5, 4)) < 0.6).astype(float)
     mask[0, 0] = 1.0
+    # completion is the identity with W zero off the mask
     ops = [
-        Identity((5, 4)),
-        EntryMask(mask),
-        DenseSensing(rng.standard_normal((9, 20)), (5, 4)),
+        (Identity((5, 4)), 1.0),
+        (Identity((5, 4)), mask),
+        (DenseSensing(rng.standard_normal((9, 20)), (5, 4)), 1.0),
     ]
-    for op in ops:
+    for op, m in ops:
         for _ in range(20):
             X = rng.standard_normal(op.domain_shape)
-            F = rng.standard_normal(op.codomain_shape)
-            W = rng.uniform(0.5, 3.0, size=op.codomain_shape)
+            F = rng.standard_normal(op.codomain_shape) * m
+            W = rng.uniform(0.5, 3.0, size=op.codomain_shape) * m
             p = Problem(op, F, W, 1.0)
             G = gradient(p, X)
             FD = np.zeros_like(X)
@@ -162,15 +163,16 @@ def test_gradient_lipschitz_bound_holds():
     rng = np.random.default_rng(2)
     mask = (rng.random((8, 7)) < 0.5).astype(float)
     mask[0, 0] = 1.0
+    # completion is the identity with W zero off the mask
     ops = [
-        Identity((8, 7)),
-        EntryMask(mask),
-        DenseSensing(rng.standard_normal((15, 56)), (8, 7)),
+        (Identity((8, 7)), 1.0),
+        (Identity((8, 7)), mask),
+        (DenseSensing(rng.standard_normal((15, 56)), (8, 7)), 1.0),
     ]
     violations = 0
-    for op in ops:
-        F = rng.standard_normal(op.codomain_shape)
-        W = rng.uniform(0.0, 4.0, size=op.codomain_shape)
+    for op, m in ops:
+        F = rng.standard_normal(op.codomain_shape) * m
+        W = rng.uniform(0.0, 4.0, size=op.codomain_shape) * m
         W.flat[0] = 1.0
         p = Problem(op, F, W, 1.0)
         L = lipschitz_bound(p)

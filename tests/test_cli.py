@@ -59,8 +59,8 @@ def make_problem_dir(tmp_path, runner, spec=None):
 def test_generate_writes_artifacts(tmp_path, runner):
     prob_dir = make_problem_dir(tmp_path, runner)
     names = sorted(p.name for p in prob_dir.iterdir())
-    assert names == ["F.csv", "W.csv", "ground_truth.csv", "manifest.json",
-                     "mask.csv", "noise.csv"]
+    # the mask is folded into F.csv and W.csv; no mask.csv is written
+    assert names == ["F.csv", "W.csv", "ground_truth.csv", "manifest.json", "noise.csv"]
     with open(prob_dir / "manifest.json") as fh:
         manifest = json.load(fh)
     assert manifest["seed"] == 1
@@ -71,7 +71,7 @@ def test_generate_writes_artifacts(tmp_path, runner):
 def test_generate_is_byte_identical_for_same_seed(tmp_path, runner):
     d1 = make_problem_dir(tmp_path / "a", runner)
     d2 = make_problem_dir(tmp_path / "b", runner)
-    for name in ("F.csv", "W.csv", "ground_truth.csv", "noise.csv", "mask.csv"):
+    for name in ("F.csv", "W.csv", "ground_truth.csv", "noise.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
@@ -87,9 +87,8 @@ def test_problem_dir_round_trips(tmp_path, kind):
     gt = read_matrix_csv(tmp_path / "ground_truth.csv", manifest["shapes"]["ground_truth"])
     assert type(op) is type(gen.op)
     assert op.domain_shape == gen.op.domain_shape
-    for name in ("mask", "S"):
-        if hasattr(gen.op, name):
-            assert getattr(op, name).tobytes() == getattr(gen.op, name).tobytes()
+    if hasattr(gen.op, "S"):
+        assert op.S.tobytes() == gen.op.S.tobytes()
     for got, want in ((F, gen.F), (W, gen.W), (gt, gen.ground_truth)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert noise_norm == gen.noise_norm
@@ -107,16 +106,22 @@ def test_generate_seed_flag_beats_file(tmp_path, runner):
         assert json.load(fh)["seed"] == 99
 
 
-def test_generate_env_seed(tmp_path, runner, monkeypatch):
-    monkeypatch.setenv("LOWRANK_SEED", "42")
-    spec_file = tmp_path / "spec.json"
-    write_json(spec_file, SPEC)
-    out = tmp_path / "p"
-    result = runner.invoke(cli.main, ["generate", "--spec", str(spec_file),
-                                      "--out", str(out)])
-    assert result.exit_code == 0
-    with open(out / "manifest.json") as fh:
-        assert json.load(fh)["seed"] == 42
+def test_problem_dir_with_a_mask_exits_2(tmp_path, runner):
+    # the F.csv of a directory that lists a mask holds unobserved entries,
+    # which a solve without the mask would fit
+    prob_dir = make_problem_dir(tmp_path, runner)
+    manifest = json.loads((prob_dir / "manifest.json").read_text())
+    manifest["shapes"]["mask"] = [30, 30]
+    write_json(prob_dir / "manifest.json", manifest)
+    config_file = tmp_path / "config.json"
+    write_json(config_file, CONFIG)
+    result = runner.invoke(cli.main, [
+        "solve", "--problem", str(prob_dir), "--config", str(config_file),
+        "--algo", "pgd", "--out", str(tmp_path / "run"),
+    ])
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "regenerate" in result.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_generate_invalid_spec_exits_2(tmp_path, runner):
@@ -365,6 +370,26 @@ def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
     assert not (out / "wild" / "rep0" / "summary.json").exists()
     with open(out / "bench_manifest.json") as fh:
         assert "gradient step became non-finite" in json.load(fh)["warnings"][0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(BENCH_CONFIG, R=10), "not read by the solver: R"),
+    ({key: value for key, value in BENCH_CONFIG.items() if key != "tau"},
+     "missing the required 'tau'"),
+    (dict(BENCH_CONFIG, tau="3*noise_norm"), "unknown tau preset"),
+], ids=["unread-key", "no-tau", "unknown-preset"])
+def test_bench_validates_every_run_before_the_first_solve(tmp_path, runner, bad, message):
+    suite = {"seed": 0, "runs": [
+        {"name": "good", "algorithm": "pgd", "spec": SPEC, "config": BENCH_CONFIG},
+        {"name": "bad", "algorithm": "pgd", "spec": SPEC, "config": bad},
+    ]}
+    suite_file = tmp_path / "suite.json"
+    write_json(suite_file, suite)
+    out = tmp_path / "bench"
+    result = runner.invoke(cli.main, ["bench", "--suite", str(suite_file), "--out", str(out)])
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert message in result.output
+    assert not (out / "good").exists()
 
 
 def test_bench_malformed_suite_exits_2(tmp_path, runner):

@@ -4,19 +4,29 @@ from hypothesis import given, settings, strategies as st
 
 from lowrank import operators
 from lowrank.exceptions import DegenerateProblemError, DimensionError
-from lowrank.operators import (DenseSensing, EntryMask, Identity, Problem,
+from lowrank.operators import (DenseSensing, Identity, Problem,
                                adjoint, apply, gradient, lipschitz_bound,
                                loss, objective, unvec, vec)
 
 
 def random_ops(rng, m=6, n=5, d=12):
-    mask = (rng.random((m, n)) < 0.6).astype(float)
-    mask[0, 0] = 1.0
-    return [
-        Identity((m, n)),
-        EntryMask(mask),
-        DenseSensing(rng.standard_normal((d, m * n)), (m, n)),
-    ]
+    """(operator, mask) pairs: identity, completion, dense sensing.
+
+    Completion is the identity whose weights carry a 0/1 mask, so a test
+    multiplies its W by the mask.
+    """
+    return [make_op(kind, rng, m, n, d) for kind in ("identity", "mask", "sensing")]
+
+
+def make_op(kind, rng, m, n, d):
+    """The operator of `kind` and the 0/1 mask (or 1.0) its weights carry."""
+    if kind == "sensing":
+        return DenseSensing(rng.standard_normal((d, m * n)), (m, n)), 1.0
+    mask = 1.0
+    if kind == "mask":
+        mask = (rng.random((m, n)) < 0.6).astype(float)
+        mask.flat[0] = 1.0
+    return Identity((m, n)), mask
 
 
 def test_vec_is_column_stacking():
@@ -31,23 +41,11 @@ def test_apply_identity():
     np.testing.assert_array_equal(apply(Identity((4, 3)), X), X)
 
 
-def test_apply_mask():
-    mask = np.array([[1.0, 0.0], [0.0, 1.0]])
-    X = np.array([[2.0, 3.0], [4.0, 5.0]])
-    np.testing.assert_array_equal(apply(EntryMask(mask), X),
-                                  [[2.0, 0.0], [0.0, 5.0]])
-
-
 def test_apply_dense_sensing_identity_rows():
     # S = I picks out vec(X)
     X = np.arange(6.0).reshape(2, 3)
     op = DenseSensing(np.eye(6), (2, 3))
     np.testing.assert_array_equal(apply(op, X), vec(X))
-
-
-def test_mask_rejects_nonbinary():
-    with pytest.raises(ValueError):
-        EntryMask(np.array([[0.5]]))
 
 
 def test_sensing_rejects_wrong_columns():
@@ -63,10 +61,10 @@ def test_apply_shape_check():
 def test_adjoint_inner_product_identity():
     # <op(X), R> == <X, adjoint(op, R)> for every variant
     rng = np.random.default_rng(1)
-    for op in random_ops(rng):
+    for op, mask in random_ops(rng):
         for _ in range(50):
             X = rng.standard_normal(op.domain_shape)
-            R = rng.standard_normal(op.codomain_shape)
+            R = rng.standard_normal(op.codomain_shape) * mask
             lhs = float(np.sum(apply(op, X) * R))
             rhs = float(np.sum(X * adjoint(op, R)))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
@@ -92,11 +90,8 @@ instances = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32
 def test_gradient_matches_adjoint_apply_form(instance, masked):
     m, n, seed = instance
     rng = np.random.default_rng(seed)
-    if masked:
-        op = EntryMask((rng.random((m, n)) < 0.6).astype(float))
-    else:
-        op = Identity((m, n))
-    p = Problem(op, wide(rng, (m, n)), weights_with_zeros(rng, (m, n)), 1.0)
+    op, mask = make_op("mask" if masked else "identity", rng, m, n, 0)
+    p = Problem(op, wide(rng, (m, n)) * mask, weights_with_zeros(rng, (m, n)) * mask, 1.0)
     X = wide(rng, (m, n))
     textbook = adjoint(op, (apply(op, X) - p.F) * p.W_tilde)
     assert np.array_equal(gradient(p, X), textbook)
@@ -107,14 +102,9 @@ def test_gradient_matches_adjoint_apply_form(instance, masked):
 def test_adjointness_property(instance, d, kind):
     m, n, seed = instance
     rng = np.random.default_rng(seed)
-    if kind == "identity":
-        op = Identity((m, n))
-    elif kind == "mask":
-        op = EntryMask((rng.random((m, n)) < 0.6).astype(float))
-    else:
-        op = DenseSensing(rng.standard_normal((d, m * n)), (m, n))
+    op, mask = make_op(kind, rng, m, n, d)
     X = wide(rng, op.domain_shape)
-    R = wide(rng, op.codomain_shape)
+    R = wide(rng, op.codomain_shape) * mask
     lhs = float(np.sum(apply(op, X) * R))
     rhs = float(np.sum(X * adjoint(op, R)))
     # relative to the Cauchy-Schwarz bound |<A X, R>| <= |A| |X| |R|
@@ -125,12 +115,9 @@ def test_adjointness_property(instance, d, kind):
 def test_problem_caches_the_gradient_weights():
     rng = np.random.default_rng(7)
     W = rng.uniform(0.0, 2.0, size=(4, 3))
-    mask = (rng.random((4, 3)) < 0.5).astype(float)
     F = np.zeros((4, 3))
     p = Problem(Identity((4, 3)), F, W, 1.0)
     assert p.W_bar is p.W_tilde
-    p = Problem(EntryMask(mask), F, W, 1.0)
-    np.testing.assert_array_equal(p.W_bar, mask * W * W)
     p = Problem(DenseSensing(rng.standard_normal((5, 12)), (4, 3)), np.zeros((5, 1)),
                 np.ones((5, 1)), 1.0)
     assert p.W_bar is None
@@ -158,7 +145,7 @@ def test_sensing_norm_is_computed_once_per_operator(monkeypatch):
 
 
 def test_gradient_shape_check():
-    p = Problem(EntryMask(np.ones((3, 3))), np.ones((3, 3)), np.ones((3, 3)), 1.0)
+    p = Problem(Identity((3, 3)), np.ones((3, 3)), np.ones((3, 3)), 1.0)
     with pytest.raises(DimensionError):
         gradient(p, np.ones((3, 2)))
     with pytest.raises(ValueError):
@@ -187,10 +174,10 @@ def test_gradient_identity_unit_weights():
 
 def test_gradient_zero_at_data():
     rng = np.random.default_rng(3)
-    for op in random_ops(rng):
+    for op, mask in random_ops(rng):
         X = rng.standard_normal(op.domain_shape)
-        F = apply(op, X)
-        W = rng.uniform(0.5, 2.0, size=op.codomain_shape)
+        F = apply(op, X) * mask
+        W = rng.uniform(0.5, 2.0, size=op.codomain_shape) * mask
         p = Problem(op, F, W, 1.0)
         assert np.linalg.norm(gradient(p, X)) <= 1e-12
 
@@ -198,10 +185,10 @@ def test_gradient_zero_at_data():
 def test_gradient_finite_differences():
     rng = np.random.default_rng(4)
     h = 1e-6
-    for op in random_ops(rng, m=4, n=3, d=7):
+    for op, mask in random_ops(rng, m=4, n=3, d=7):
         X = rng.standard_normal(op.domain_shape)
-        F = rng.standard_normal(op.codomain_shape)
-        W = rng.uniform(0.5, 3.0, size=op.codomain_shape)
+        F = rng.standard_normal(op.codomain_shape) * mask
+        W = rng.uniform(0.5, 3.0, size=op.codomain_shape) * mask
         p = Problem(op, F, W, 1.0)
         G = gradient(p, X)
         for i in range(X.shape[0]):
@@ -233,13 +220,8 @@ def test_lipschitz_sampled_inequality(instance, kind, spread, tight):
     # H = A* diag(W~) A, where identity reaches the bound exactly
     m, n, seed = instance
     rng = np.random.default_rng(seed)
-    if kind == "identity":
-        op = Identity((m, n))
-    elif kind == "mask":
-        op = EntryMask((rng.random((m, n)) < 0.6).astype(float))
-    else:
-        op = DenseSensing(rng.standard_normal((int(rng.integers(1, 16)), m * n)), (m, n))
-    W = 10.0 ** rng.uniform(0.0, spread, size=op.codomain_shape)
+    op, mask = make_op(kind, rng, m, n, int(rng.integers(1, 16)))
+    W = 10.0 ** rng.uniform(0.0, spread, size=op.codomain_shape) * mask
     p = Problem(op, rng.standard_normal(op.codomain_shape), W, 1.0)
     L = lipschitz_bound(p)
     X = rng.standard_normal(op.domain_shape)
@@ -279,10 +261,10 @@ def test_objective_rank_one():
 
 def test_objective_matches_direct_formula():
     rng = np.random.default_rng(6)
-    for op in random_ops(rng):
+    for op, mask in random_ops(rng):
         X = rng.standard_normal(op.domain_shape)
-        F = rng.standard_normal(op.codomain_shape)
-        W = rng.uniform(0.5, 2.0, size=op.codomain_shape)
+        F = rng.standard_normal(op.codomain_shape) * mask
+        W = rng.uniform(0.5, 2.0, size=op.codomain_shape) * mask
         p = Problem(op, F, W, 1.7)
         R = (apply(op, X) - F) * W
         direct = 0.5 * np.sum(R**2) + 1.7 * np.sum(np.linalg.svd(X, compute_uv=False))

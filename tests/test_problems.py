@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowrank import problems
-from lowrank.exceptions import (DimensionError, InvalidSpecError,
-                                UndefinedMetricError)
-from lowrank.operators import DenseSensing, EntryMask, Identity
+from lowrank.exceptions import (DegenerateProblemError, DimensionError,
+                                InvalidSpecError, UndefinedMetricError)
+from lowrank.operators import DenseSensing, Identity
 from lowrank.problems import (AdditiveGaussian, AllOnes, GaussianScaled,
                               LargeOnSupport, SparseLarge, SyntheticSpec,
                               UniformInt, condition_number_sweep, fidelity,
@@ -100,17 +100,39 @@ def test_ground_truth_rank_exact():
 
 def test_operator_selection():
     assert isinstance(generate_full(SyntheticSpec(8, 8, 2)).op, Identity)
-    assert isinstance(
-        generate_full(SyntheticSpec(8, 8, 2, mask_fraction=0.5)).op, EntryMask
-    )
+    assert isinstance(generate_full(SyntheticSpec(8, 8, 2, mask_fraction=0.5)).op, Identity)
     assert isinstance(
         generate_full(SyntheticSpec(8, 8, 2, sensing_dim=30)).op, DenseSensing
     )
 
 
+def test_mask_is_folded_into_f_and_w():
+    spec = SyntheticSpec(12, 9, 2, noise=AdditiveGaussian(0.5), weights=UniformInt(1, 10),
+                         mask_fraction=0.4, seed=5)
+    gen = generate_full(spec)
+    # redraw the mask: it follows the two factors in the draw order
+    rng = np.random.default_rng(spec.seed)
+    rng.standard_normal((spec.m, spec.rank))
+    rng.standard_normal((spec.rank, spec.n))
+    mask = rng.random((spec.m, spec.n)) < spec.mask_fraction
+    assert 0 < mask.sum() < mask.size
+    assert np.all(gen.F[~mask] == 0.0) and np.all(gen.W[~mask] == 0.0)
+    assert np.all(gen.W[mask] >= 1.0)
+    np.testing.assert_array_equal(gen.F[mask], (gen.ground_truth + gen.noise)[mask])
+    # the noise is the full draw, so the noise-norm tau presets ignore the mask
+    assert np.all(gen.noise[~mask] != 0.0)
+
+
+def test_instance_with_no_observed_entry_is_degenerate():
+    gen = generate_full(SyntheticSpec(3, 3, 1, mask_fraction=0.01, seed=1))
+    assert not np.any(gen.W)
+    with pytest.raises(DegenerateProblemError):
+        gen.problem(1.0)
+
+
 def test_mask_density_close_to_requested():
     gen = generate_full(SyntheticSpec(2000, 2000, 4, mask_fraction=0.5, seed=0))
-    density = float(np.mean(gen.op.mask))
+    density = float(np.mean(gen.W != 0))
     assert abs(density - 0.5) <= 0.01 * 0.5
 
 

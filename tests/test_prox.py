@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lowrank.exceptions import NonFiniteError
 from lowrank.linalg import thin_svd
 from lowrank.prox import svt, svt_with_rank
 
@@ -72,3 +73,10 @@ def test_svt_objective_optimality_against_perturbations():
     best = obj(X)
     for _ in range(50):
         assert best <= obj(X + 1e-3 * rng.standard_normal((5, 5))) + 1e-12
+
+
+def test_svt_refuses_non_finite_z():
+    Z = np.eye(3)
+    Z[1, 2] = np.nan
+    with pytest.raises(NonFiniteError):
+        svt_with_rank(Z, 0.5)

@@ -169,15 +169,18 @@ def test_pgd_objective_never_increases(m, n, seed, kind, spread, log_tau):
     # with gamma = 1/L and no inertia each prox-gradient step is a descent
     # step, for weights spread up to w_max / w_min = 1e3
     rng = np.random.default_rng(seed)
-    if kind == "identity":
-        op = operators.Identity((m, n))
-    elif kind == "mask":
-        op = operators.EntryMask((rng.random((m, n)) < 0.6).astype(float))
-    else:
+    # "mask" is completion: the identity with W zero off a 0/1 mask
+    mask = 1.0
+    if kind == "sensing":
         op = operators.DenseSensing(rng.standard_normal((int(rng.integers(1, 16)), m * n)),
                                     (m, n))
-    W = 10.0 ** rng.uniform(0.0, spread, size=op.codomain_shape)
-    p = Problem(op, rng.standard_normal(op.codomain_shape), W, 10.0 ** log_tau)
+    else:
+        op = operators.Identity((m, n))
+    if kind == "mask":
+        mask = (rng.random((m, n)) < 0.6).astype(float)
+        mask.flat[0] = 1.0
+    W = 10.0 ** rng.uniform(0.0, spread, size=op.codomain_shape) * mask
+    p = Problem(op, rng.standard_normal(op.codomain_shape) * mask, W, 10.0 ** log_tau)
     trace = pgd_solve(p, SolverConfig(rule=Zero(), stop=Stopping(1e-12, 0.0, 200),
                                       trace_level="full"))
     obj = [operators.objective(p, np.zeros((m, n)))] + trace.column("objective")
