@@ -109,8 +109,12 @@ def build_solver_config(cfg, algorithm):
     )
 
 
-def resolve_tau(cfg, noise_norm=None):
-    """Resolve the required tau field, honoring the noise-norm presets."""
+def resolve_tau(cfg, noise_norm):
+    """Resolve the required tau field, honoring the noise-norm presets.
+
+    noise_norm is the norm of the instance's generated noise, which every
+    problem directory and bench run has.
+    """
     if "tau" not in cfg:
         raise LowRankError("config is missing the required 'tau' field")
     tau = cfg["tau"]
@@ -118,10 +122,6 @@ def resolve_tau(cfg, noise_norm=None):
         return float(tau)
     if tau not in _TAU_PRESETS:
         raise LowRankError(f"unknown tau preset {tau!r}")
-    if noise_norm is None:
-        raise LowRankError(
-            f"tau preset {tau!r} needs generated noise, which is unavailable"
-        )
     return _TAU_PRESETS[tau] * noise_norm
 
 

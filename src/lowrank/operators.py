@@ -171,10 +171,12 @@ def loss(p, X):
 def gradient(p, X):
     """Gradient of the smooth loss at X: op*((op(X) - F) . W_tilde).
 
-    X is validated once. With W_bar cached (Identity) this is
-    (X - F) . W_bar, two passes over one new array. It equals the
-    adjoint(apply(...)) form bit for bit. Dense sensing takes the
-    adjoint(apply(...)) form.
+    X is scanned once for non-finite entries. With W_bar cached (Identity)
+    the gradient is then (X - F) . W_bar, two passes into one new array,
+    equal to the adjoint(apply(...)) form bit for bit; dense sensing takes
+    the adjoint(apply(...)) form. The solvers' loop forms its gradient step
+    for a cached W_bar without this function (see solver._gradient_step);
+    it serves the exit certificate, the tests and outside callers.
     """
     X = as_matrix(X, "X")
     if X.shape != p.domain_shape:

@@ -315,15 +315,45 @@ def _check_start(p, X0):
     return X0.copy()
 
 
-def _gradient_step(p, X, X_prev, a, gamma):
+def _affine_step(p, gamma):
+    """(A, C, Z) with Y - gamma grad f(Y) = A . Y + C, or None for dense sensing.
+
+    For an entrywise problem grad f(Y) = (Y - F) . W_bar is affine in Y, so
+    the gradient step is A . Y + C with A = 1 - gamma W_bar and
+    C = (gamma W_bar) . F, formed once per solve; Z is the buffer each
+    step writes. Where gamma W_bar = 1 the step is F exactly, and where
+    W_bar = 0 it is Y exactly. When C equals F bit for bit (unit weights
+    at gamma = 1, plain completion), C is F itself, so the cache adds one
+    array to the solve, not two.
+    """
+    if p.W_bar is None:
+        return None
+    C = gamma * p.W_bar
+    A = 1.0 - C
+    C *= p.F
+    if np.array_equal(C, p.F):
+        C = p.F
+    return A, C, np.empty_like(A)
+
+
+def _gradient_step(p, X, X_prev, a, gamma, affine):
     """Gradient step Z = Y - gamma grad f(Y) from the extrapolation Y = X + a (X - X_prev).
 
     With a = 0, Y is X itself and the extrapolation passes are skipped.
+    With affine = _affine_step(p, gamma) set, Z = A . Y + C takes two passes
+    into the buffer Z and Y is not scanned: a non-finite entry of Y makes Z
+    non-finite (0 . inf is NaN), and the prox step refuses it. Otherwise
+    operators.gradient scans Y and raises NonFiniteError itself.
     """
     Y = X if a == 0.0 else X + a * (X - X_prev)
-    G = operators.gradient(p, Y)
-    G *= gamma
-    return Y - G
+    if affine is None:
+        G = operators.gradient(p, Y)
+        G *= gamma
+        return Y - G
+    A, C, Z = affine
+    np.multiply(A, Y, out=Z)
+    Z += C
+    return Z
 
 
 def _diverged(step, X_new):
@@ -437,6 +467,7 @@ def _solve(p, cfg, X0, seed, exact):
         r = min(r_cap, _RANK_MARGIN) if adaptive else r_cap
         pair = amfit.random_pair(m, n, r, rng)
 
+    affine = _affine_step(p, gamma)
     X_prev = X
     step_prev = 0.0
     records = []
@@ -459,10 +490,15 @@ def _solve(p, cfg, X0, seed, exact):
     k = 0
     for k in range(1, cfg.stop.max_iter + 1):
         t0 = time.perf_counter()
-        Z = _gradient_step(p, X, X_prev, inertial_value(cfg.rule, k, step_prev), gamma)
+        a = inertial_value(cfg.rule, k, step_prev)
         # both prox steps validate Z on entry, so Z is read for non-finite
-        # entries only when one of them refuses a non-finite matrix
+        # entries only when one of them refuses a non-finite matrix; a
+        # gradient step that raises leaves Z None
+        Z = None
         try:
+            Z = _gradient_step(p, X, X_prev, a, gamma, affine)
+            # not read again before X replaces it: free its array for the prox step
+            X_prev = None
             if exact:
                 X_new, rank_x = prox.svt_with_rank(Z, mu)
                 inner_iters = 0
@@ -475,7 +511,8 @@ def _solve(p, cfg, X0, seed, exact):
                 X_new = pair.product()
         except NonFiniteError as exc:
             # with Z finite, an overflow inside the alternating passes
-            raise divergence("inner solve" if np.all(np.isfinite(Z)) else "gradient step") from exc
+            finite = Z is not None and np.all(np.isfinite(Z))
+            raise divergence("inner solve" if finite else "gradient step") from exc
         step = float(np.linalg.norm(X_new - X))
         if _diverged(step, X_new):
             raise divergence("iterate")

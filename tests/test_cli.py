@@ -284,13 +284,13 @@ def test_build_solver_config_variants():
 
 
 def test_resolve_tau_presets():
-    assert cli.resolve_tau({"tau": 2.5}) == 2.5
+    assert cli.resolve_tau({"tau": 2.5}, 3.0) == 2.5
     assert cli.resolve_tau({"tau": "noise_norm"}, 3.0) == 3.0
     assert cli.resolve_tau({"tau": "2*noise_norm"}, 3.0) == 6.0
     with pytest.raises(Exception):
         cli.resolve_tau({"tau": "bogus"}, 3.0)
     with pytest.raises(Exception):
-        cli.resolve_tau({})
+        cli.resolve_tau({}, 3.0)
 
 
 def test_bench_aggregate(tmp_path, runner):

@@ -540,6 +540,33 @@ def test_divergent_step_raises():
         assert trace is not None and len(trace.records) == trace.iterations > 0
 
 
+def small_sensing_problem():
+    spec = problems.SyntheticSpec(
+        10, 8, 2, noise=problems.AdditiveGaussian(0.1), sensing_dim=60, seed=3
+    )
+    gen = problems.generate_full(spec)
+    return gen.problem(gen.noise_norm)
+
+
+@pytest.mark.parametrize("kind", ["completion", "sensing"])
+@pytest.mark.parametrize("solve", [pgd_solve, prograamme_solve])
+def test_non_finite_extrapolation_is_a_divergence(monkeypatch, kind, solve):
+    # an inertial value that overflows the extrapolation Y at iteration 2:
+    # the fused step of completion and operators.gradient of sensing both
+    # end in DivergenceError, not in a bare NonFiniteError
+    p = small_completion_problem()[0] if kind == "completion" else small_sensing_problem()
+    monkeypatch.setattr(solver, "inertial_value",
+                        lambda rule, k, step_prev=0.0: 0.0 if k == 1 else np.inf)
+    cfg = SolverConfig(r=6, stop=Stopping(0.0, 0.0, 10))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="^gradient step became non-finite at iteration 2 ") as exc_info:
+        solve(p, cfg)
+    trace = exc_info.value.trace
+    assert trace is not None and trace.iterations == 1
+    assert [rec.k for rec in trace.records] == [1]
+    assert np.all(np.isfinite(trace.X))
+
+
 def test_overflowing_product_of_finite_factors_raises(monkeypatch):
     # the factors are finite but their product is not: the step norm is then
     # not finite either, and that alone must lead to the check of X
@@ -561,23 +588,34 @@ def textbook_gradient(p, X):
 
 
 def test_gradient_step_leaves_solves_bit_identical(monkeypatch):
-    spec = problems.SyntheticSpec(
+    # the loop of dense sensing calls operators.gradient; the fused step of
+    # completion does not, but its exit certificate does
+    completion = problems.SyntheticSpec(
         40, 30, 3, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.5,
         weights=problems.LargeOnSupport(0.2, 1.5, 4.0), seed=5,
     )
-    gen = problems.generate_full(spec)
-    p = gen.problem(gen.noise_norm)
+    sensing = problems.SyntheticSpec(
+        12, 10, 2, noise=problems.AdditiveGaussian(0.1), sensing_dim=90,
+        weights=problems.LargeOnSupport(0.2, 1.5, 4.0), seed=5,
+    )
     stop = Stopping(1e-8, 0.0, 150)
-    runs = [
-        lambda: prograamme_solve(p, SolverConfig(r=12, stop=stop), seed=1),
-        lambda: prograamme_solve(p, SolverConfig(r=12, stop=stop, rule=Constant(0.5)), seed=1),
-        lambda: prograamme_solve(p, SolverConfig(r=12, stop=stop,
-                                                 continuation=Continuation(enabled=True)), seed=1),
-        lambda: prograamme_solve(p, SolverConfig(r=12, stop=stop, rule=Constant(0.5),
-                                                 continuation=Continuation(enabled=True)), seed=1),
-        lambda: pgd_solve(p, SolverConfig(stop=stop)),
-        lambda: pgd_solve(p, SolverConfig(stop=stop, rule=FistaLike(20))),
-    ]
+    runs = []
+    for spec in (completion, sensing):
+        gen = problems.generate_full(spec)
+        p = gen.problem(gen.noise_norm)
+        runs += [
+            lambda p=p: prograamme_solve(p, SolverConfig(r=12, stop=stop), seed=1),
+            lambda p=p: prograamme_solve(p, SolverConfig(r=12, stop=stop, rule=Constant(0.5)),
+                                         seed=1),
+            lambda p=p: prograamme_solve(p, SolverConfig(r=12, stop=stop,
+                                                         continuation=Continuation(enabled=True)),
+                                         seed=1),
+            lambda p=p: prograamme_solve(p, SolverConfig(r=12, stop=stop, rule=Constant(0.5),
+                                                         continuation=Continuation(enabled=True)),
+                                         seed=1),
+            lambda p=p: pgd_solve(p, SolverConfig(stop=stop)),
+            lambda p=p: pgd_solve(p, SolverConfig(stop=stop, rule=FistaLike(20))),
+        ]
 
     def outcome(run):
         trace = run()
@@ -593,6 +631,99 @@ def test_gradient_step_leaves_solves_bit_identical(monkeypatch):
         assert notes == ref_notes
         assert converged == ref_converged
         assert np.array_equal(X, ref_X)
+
+
+weight_kinds = st.sampled_from([problems.AllOnes(), problems.UniformInt(1, 10),
+                                problems.LargeOnSupport(0.3, 1.5, 4.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 2**32 - 1), weight_kinds,
+       st.sampled_from([None, 0.3, 0.7]), st.sampled_from([1.0, 0.5, 0.01]),
+       st.sampled_from([0.0, 0.4]))
+def test_fused_gradient_step_matches_the_gradient(m, n, seed, weights, mask_fraction,
+                                                  gamma_L, a):
+    # Z = A . Y + C against Y - gamma grad f(Y), for every step gamma <= 1/L
+    spec = problems.SyntheticSpec(m, n, 1, noise=problems.AdditiveGaussian(0.5),
+                                  weights=weights, mask_fraction=mask_fraction, seed=seed)
+    gen = problems.generate_full(spec)
+    if not np.any(gen.W):
+        return
+    p = gen.problem(1.0)
+    gamma = gamma_L / operators.lipschitz_bound(p)
+    rng = np.random.default_rng(seed)
+    X, X_prev = 10.0 * rng.standard_normal((2, m, n))
+    Y = X + a * (X - X_prev)
+    affine = solver._affine_step(p, gamma)
+    # the cache shares F when gamma W_bar . F is F
+    assert (affine[1] is p.F) == np.array_equal(gamma * p.W_bar * p.F, p.F)
+    Z = solver._gradient_step(p, X, X_prev, a, gamma, affine)
+    ref = Y - gamma * operators.gradient(p, Y)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(Z - ref) <= 8 * eps * (np.abs(Y) + np.abs(p.F)))
+    one = gamma * p.W_bar == 1.0
+    assert np.array_equal(Z[one], p.F[one])
+    off = p.W_bar == 0.0
+    assert np.array_equal(Z[off], Y[off])
+    if gamma_L == 1.0 and isinstance(weights, problems.AllOnes):
+        # unit weights at gamma = 1: F on the observed set, Y off it
+        assert np.array_equal(Z, np.where(off, Y, p.F))
+
+
+def test_fused_gradient_step_tracks_the_textbook_step(monkeypatch):
+    # the fused step rounds differently from Y - gamma (Y - F) . W_bar, so
+    # the solves agree to rounding, with the same path, not bit for bit
+    spec = problems.SyntheticSpec(
+        40, 30, 3, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.5,
+        weights=problems.LargeOnSupport(0.2, 1.5, 4.0), seed=5,
+    )
+    gen = problems.generate_full(spec)
+    p = gen.problem(gen.noise_norm)
+    stop = Stopping(1e-8, 0.0, 3000)
+    cfgs = [SolverConfig(r=12, stop=stop, rule=rule, continuation=Continuation(enabled=rc))
+            for rule in (Zero(), Constant(0.5)) for rc in (False, True)]
+    runs = [lambda cfg=cfg: prograamme_solve(p, cfg, seed=1) for cfg in cfgs] + [
+        lambda: pgd_solve(p, SolverConfig(stop=stop)),
+        lambda: pgd_solve(p, SolverConfig(stop=stop, rule=FistaLike(20)))]
+
+    def outcome(run):
+        trace = run()
+        assert trace.converged
+        return (trace.iterations, trace.column("rank_x"), trace.column("r"), trace.notes,
+                trace.X)
+
+    fused = [outcome(run) for run in runs]
+    monkeypatch.setattr(solver, "_affine_step", lambda p, gamma: None)
+    monkeypatch.setattr(operators, "gradient", textbook_gradient)
+    for (*path, X), run in zip(fused, runs):
+        *ref_path, ref_X = outcome(run)
+        assert path == ref_path
+        assert np.linalg.norm(X - ref_X) <= 1e-9 * np.linalg.norm(ref_X)
+
+
+def test_weighted_completion_reaches_pgd():
+    # integer weights in [1, 10] on half the entries: L = 100, so gamma = 1/100
+    # and the fused step runs with gamma W_bar between 0.01 and 1; at
+    # tau = 10 noise_norm the optimum has rank 7, inside r = 10, and rc grows
+    # to it from its start at 4
+    spec = problems.SyntheticSpec(40, 40, 3, noise=problems.AdditiveGaussian(0.1),
+                                  mask_fraction=0.5, weights=problems.UniformInt(1, 10),
+                                  seed=3)
+    gen = problems.generate_full(spec)
+    p = gen.problem(10.0 * gen.noise_norm)
+    assert operators.lipschitz_bound(p) == 100.0
+    stop = Stopping(1e-11, 0.0, 5000)
+    ref = pgd_solve(p, SolverConfig(stop=stop))
+    assert ref.converged and ref.gamma == 0.01
+    assert ref.final_rank == 7
+    for rc in (True, False):
+        trace = prograamme_solve(p, SolverConfig(r=10, stop=stop,
+                                                 continuation=Continuation(enabled=rc)),
+                                 seed=1)
+        assert trace.converged and trace.final_rank == 7
+        assert solver._prox_residual(p, trace.X, trace.gamma) <= 1e-6
+        assert np.linalg.norm(trace.X - ref.X) <= 1e-8 * np.linalg.norm(ref.X)
+        assert any("grown" in note for note in trace.notes) is rc
 
 
 def lu_spd_solve(G, B):
