@@ -124,14 +124,6 @@ def update_V(Z, U, mu):
     return spd_solve(G, U.T @ Z)
 
 
-def inner_objective(Z, U, V, mu):
-    """Value of 0.5*|UV - Z|^2 + (mu/2)*(|U|^2 + |V|^2)."""
-    R = U @ V - Z
-    return 0.5 * float(np.sum(R * R)) + 0.5 * mu * float(
-        np.sum(U * U) + np.sum(V * V)
-    )
-
-
 def inner_solve(Z, mu, start, policy):
     """Run the alternating inner loop on target Z.
 

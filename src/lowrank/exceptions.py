@@ -36,9 +36,5 @@ class DivergenceError(LowRankError, RuntimeError):
         self.trace = trace
 
 
-class UndefinedMetricError(LowRankError, ValueError):
-    """A requested metric is undefined for the given inputs."""
-
-
 class InvalidSpecError(LowRankError, ValueError):
     """A synthetic problem specification violates its invariants."""

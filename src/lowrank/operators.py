@@ -6,11 +6,12 @@ matrix acting on the column-stacked vectorization of the input (compressed
 sensing). Matrix completion is the identity with W zero off the observed
 set: a 0/1 mask is part of the weights, not of the operator.
 
-Each operator carries its own maps: `apply(X)` and `adjoint(R)` on
-operands already validated, `operator_norm`, and `weighted_gram(W_tilde)`,
-the matrix W_bar with op* diag(W_tilde) op X = W_bar . X when the operator
-acts entrywise (None otherwise). The module functions `apply` and `adjoint`
-validate the operand and then call the operator's method.
+Each operator carries its own maps on operands already validated:
+`apply(X)`, `adjoint(R)` and `operator_norm`, the loss gradient
+`gradient(p, X)`, and `gradient_step(p, gamma)`, the map
+Y -> Y - gamma grad f(Y) that the solvers take once per iteration. The
+module functions `apply`, `adjoint` and `gradient` validate the operand and
+then call the operator's method.
 """
 
 import functools
@@ -51,9 +52,38 @@ class Identity:
     def apply(self, X):
         return X
 
-    # self-adjoint, and op* diag(W_tilde) op = diag(W_tilde): W_bar is
-    # W_tilde itself, not a copy
-    adjoint = weighted_gram = apply
+    adjoint = apply
+
+    def gradient(self, p, X):
+        """(X - F) . W_tilde, two passes into one new array."""
+        R = X - p.F
+        R *= p.W_tilde
+        return R
+
+    def gradient_step(self, p, gamma):
+        """Y -> A . Y + C = Y - gamma grad f(Y), with A and C formed once.
+
+        A = 1 - gamma W_tilde and C = (gamma W_tilde) . F; each call writes
+        two passes into one buffer Z, which the next call overwrites. Where
+        gamma W_tilde = 1 the step is F exactly, and where W_tilde = 0 it is
+        Y exactly. C is F itself when the two are equal bit for bit (unit
+        weights at gamma = 1), so the cache adds one array, not two. Y is
+        not scanned: a non-finite Y makes Z non-finite (0 . inf is NaN), and
+        the prox step refuses it. The partial's args are (A, C, Z).
+        """
+        C = gamma * p.W_tilde
+        A = 1.0 - C
+        C *= p.F
+        if np.array_equal(C, p.F):
+            C = p.F
+        return functools.partial(_affine, A, C, np.empty_like(A))
+
+
+def _affine(A, C, Z, Y):
+    """Z = A . Y + C, written into the buffer Z."""
+    np.multiply(A, Y, out=Z)
+    Z += C
+    return Z
 
 
 @dataclass(frozen=True)
@@ -93,9 +123,21 @@ class DenseSensing:
     def adjoint(self, R):
         return unvec(self.S.T @ R, self.domain_shape)
 
-    def weighted_gram(self, W_tilde):
-        """None: op* diag(W_tilde) op is not entrywise."""
-        return None
+    def gradient(self, p, X):
+        """op*((op(X) - F) . W_tilde): two passes over S."""
+        return self.adjoint((self.apply(X) - p.F) * p.W_tilde)
+
+    def gradient_step(self, p, gamma):
+        """Y -> Y - gamma grad f(Y), through the module function gradient.
+
+        It is looked up at each call, so a wrapper on operators.gradient
+        sees every step; it raises NonFiniteError on a non-finite Y.
+        """
+        def step(Y):
+            G = gradient(p, Y)
+            G *= gamma
+            return Y - G
+        return step
 
 
 def apply(op, X):
@@ -123,10 +165,9 @@ class Problem:
     """One weighted low-rank recovery instance.
 
     Minimizes 0.5 * |(op(X) - F) . W|^2 + tau * |X|_* over X. The squared
-    weights W_tilde = W . W are cached at construction, and so is
-    W_bar = op.weighted_gram(W_tilde): W_tilde itself (not a copy) for
-    Identity, None for DenseSensing. The observed set of a completion
-    problem is the support of W.
+    weights W_tilde = W . W, which the gradient reads, are cached at
+    construction. The observed set of a completion problem is the support
+    of W.
     """
 
     op: object
@@ -134,7 +175,6 @@ class Problem:
     W: np.ndarray
     tau: float
     W_tilde: np.ndarray = field(init=False, repr=False)
-    W_bar: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         F = as_matrix(self.F, "F")
@@ -150,12 +190,10 @@ class Problem:
             raise DegenerateProblemError("weight matrix is identically zero")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        W_tilde = W * W
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "W_tilde", W_tilde)
-        object.__setattr__(self, "W_bar", self.op.weighted_gram(W_tilde))
+        object.__setattr__(self, "W_tilde", W * W)
 
     @property
     def domain_shape(self):
@@ -171,23 +209,17 @@ def loss(p, X):
 def gradient(p, X):
     """Gradient of the smooth loss at X: op*((op(X) - F) . W_tilde).
 
-    X is scanned once for non-finite entries. With W_bar cached (Identity)
-    the gradient is then (X - F) . W_bar, two passes into one new array,
-    equal to the adjoint(apply(...)) form bit for bit; dense sensing takes
-    the adjoint(apply(...)) form. The solvers' loop forms its gradient step
-    for a cached W_bar without this function (see solver._gradient_step);
-    it serves the exit certificate, the tests and outside callers.
+    X is scanned once for non-finite entries, then p.op.gradient forms it.
+    Dense sensing's gradient step calls this function; Identity's does not,
+    so for completion it serves the exit certificate, the tests and outside
+    callers.
     """
     X = as_matrix(X, "X")
     if X.shape != p.domain_shape:
         raise DimensionError(
             f"operand shape {X.shape} does not match domain {p.domain_shape}"
         )
-    if p.W_bar is None:
-        return p.op.adjoint((p.op.apply(X) - p.F) * p.W_tilde)
-    R = X - p.F
-    R *= p.W_bar
-    return R
+    return p.op.gradient(p, X)
 
 
 def lipschitz_bound(p):

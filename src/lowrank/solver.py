@@ -123,11 +123,19 @@ class Stopping:
 
     step_tol acts on the absolute step |X_k+1 - X_k|; rel_step_tol, when
     positive, additionally stops on the step relative to max(|X_k|, 1).
+    Both are nonnegative (0 turns a rule off), and max_iter is at least 1.
     """
 
     step_tol: float = 1e-10
     rel_step_tol: float = 0.0
     max_iter: int = 1000
+
+    def __post_init__(self):
+        for name in ("step_tol", "rel_step_tol"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -315,47 +323,6 @@ def _check_start(p, X0):
     return X0.copy()
 
 
-def _affine_step(p, gamma):
-    """(A, C, Z) with Y - gamma grad f(Y) = A . Y + C, or None for dense sensing.
-
-    For an entrywise problem grad f(Y) = (Y - F) . W_bar is affine in Y, so
-    the gradient step is A . Y + C with A = 1 - gamma W_bar and
-    C = (gamma W_bar) . F, formed once per solve; Z is the buffer each
-    step writes. Where gamma W_bar = 1 the step is F exactly, and where
-    W_bar = 0 it is Y exactly. When C equals F bit for bit (unit weights
-    at gamma = 1, plain completion), C is F itself, so the cache adds one
-    array to the solve, not two.
-    """
-    if p.W_bar is None:
-        return None
-    C = gamma * p.W_bar
-    A = 1.0 - C
-    C *= p.F
-    if np.array_equal(C, p.F):
-        C = p.F
-    return A, C, np.empty_like(A)
-
-
-def _gradient_step(p, X, X_prev, a, gamma, affine):
-    """Gradient step Z = Y - gamma grad f(Y) from the extrapolation Y = X + a (X - X_prev).
-
-    With a = 0, Y is X itself and the extrapolation passes are skipped.
-    With affine = _affine_step(p, gamma) set, Z = A . Y + C takes two passes
-    into the buffer Z and Y is not scanned: a non-finite entry of Y makes Z
-    non-finite (0 . inf is NaN), and the prox step refuses it. Otherwise
-    operators.gradient scans Y and raises NonFiniteError itself.
-    """
-    Y = X if a == 0.0 else X + a * (X - X_prev)
-    if affine is None:
-        G = operators.gradient(p, Y)
-        G *= gamma
-        return Y - G
-    A, C, Z = affine
-    np.multiply(A, Y, out=Z)
-    Z += C
-    return Z
-
-
 def _diverged(step, X_new):
     """Whether X_new has a non-finite entry, given step = |X_new - X| with X finite.
 
@@ -467,7 +434,8 @@ def _solve(p, cfg, X0, seed, exact):
         r = min(r_cap, _RANK_MARGIN) if adaptive else r_cap
         pair = amfit.random_pair(m, n, r, rng)
 
-    affine = _affine_step(p, gamma)
+    # Y -> Y - gamma grad f(Y), taken as the operator sees fit
+    gradient_step = p.op.gradient_step(p, gamma)
     X_prev = X
     step_prev = 0.0
     records = []
@@ -496,7 +464,7 @@ def _solve(p, cfg, X0, seed, exact):
         # gradient step that raises leaves Z None
         Z = None
         try:
-            Z = _gradient_step(p, X, X_prev, a, gamma, affine)
+            Z = gradient_step(X if a == 0.0 else X + a * (X - X_prev))
             # not read again before X replaces it: free its array for the prox step
             X_prev = None
             if exact:

@@ -22,6 +22,8 @@ from lowrank.prox import svt_with_rank
 from lowrank.solver import (_RANK_MARGIN, Constant, Continuation, SolverConfig,
                             Stopping, Zero, pgd_solve, prograamme_solve)
 
+from helpers import condition_number_sweep
+
 
 def _report(name, detail):
     print(f"ACCEPTANCE {name}: PASS ({detail})")
@@ -321,7 +323,7 @@ def test_weight_conditioning_sweep():
                          weights=UniformInt(1, 10), seed=21)
     # at tau = 10 w_max^2 the optimum has rank 5 at every w_max, inside the
     # budget r=10, so each factored run must stop below its budget
-    sweep = problems.condition_number_sweep(
+    sweep = condition_number_sweep(
         base, max_weights, tau=lambda w: 10.0 * w**2
     )
     prog_iters, pgd_iters, kappas = [], [], []

@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from lowrank import amfit, problems
 from lowrank.amfit import (FactorPair, FixedI, IncreasingI, Tolerance,
-                           inner_objective, inner_solve, random_pair,
-                           update_U, update_V)
+                           inner_solve, random_pair, update_U, update_V)
 from lowrank.exceptions import DimensionError, NonFiniteError
 from lowrank.prox import svt
 from lowrank.solver import (Continuation, SolverConfig, Stopping,
                             prograamme_solve)
+
+from helpers import inner_objective
 
 
 def test_factor_pair_shapes():

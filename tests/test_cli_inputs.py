@@ -47,6 +47,15 @@ def test_solve_with_empty_inner_budget_exits_2(tmp_path, problem_dir, inner):
     assert "must be >= 1" in result.output
 
 
+def test_solve_with_no_iteration_budget_exits_2(tmp_path, problem_dir):
+    # max_iter 0 ran no iteration and then exited 3 for not converging
+    result = invoke(tmp_path, "solve", dict(CONFIG, stop={"max_iter": 0}),
+                    "--problem", str(problem_dir), "--algo", "prograamme-rc")
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert "max_iter must be >= 1" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 # each run parameter has one setter: --algo picks rc and rule.d sets FISTA's
 # d, so continuation and fista_d are refused; R and a top-level max_iter,
 # misspellings of r and stop.max_iter, would otherwise run on the defaults;

@@ -113,14 +113,17 @@ def test_adjointness_property(instance, d, kind):
 
 
 def test_problem_caches_the_gradient_weights():
+    # W_tilde = W . W is cached once, and each operator's gradient is
+    # op*((op(X) - F) . W_tilde) bit for bit
     rng = np.random.default_rng(7)
-    W = rng.uniform(0.0, 2.0, size=(4, 3))
-    F = np.zeros((4, 3))
-    p = Problem(Identity((4, 3)), F, W, 1.0)
-    assert p.W_bar is p.W_tilde
-    p = Problem(DenseSensing(rng.standard_normal((5, 12)), (4, 3)), np.zeros((5, 1)),
-                np.ones((5, 1)), 1.0)
-    assert p.W_bar is None
+    for op, mask in random_ops(rng, 4, 3, 5):
+        shape = op.codomain_shape
+        W = rng.uniform(0.0, 2.0, size=shape) * mask
+        p = Problem(op, wide(rng, shape) * mask, W, 1.0)
+        assert np.array_equal(p.W_tilde, W * W)
+        X = wide(rng, op.domain_shape)
+        textbook = op.adjoint((op.apply(X) - p.F) * p.W_tilde)
+        assert np.array_equal(gradient(p, X), textbook)
 
 
 def test_sensing_norm_is_computed_once_per_operator(monkeypatch):

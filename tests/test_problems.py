@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from lowrank import problems
 from lowrank.exceptions import (DegenerateProblemError, DimensionError,
-                                InvalidSpecError, UndefinedMetricError)
+                                InvalidSpecError)
 from lowrank.operators import DenseSensing, Identity
 from lowrank.problems import (AdditiveGaussian, AllOnes, GaussianScaled,
                               LargeOnSupport, SparseLarge, SyntheticSpec,
-                              UniformInt, condition_number_sweep, fidelity,
-                              generate_full, rmse, spec_from_dict,
+                              UniformInt, generate_full, rmse, spec_from_dict,
                               spec_to_dict)
+
+from helpers import condition_number_sweep, fidelity
 
 
 def test_spec_validation():
@@ -214,9 +215,9 @@ def test_fidelity_inside_and_outside():
 
 def test_fidelity_error_cases():
     F = np.ones((2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="binary"):
         fidelity(F, F, 2.0 * np.ones((2, 2)), inside=False)
-    with pytest.raises(UndefinedMetricError):
+    with pytest.raises(ValueError, match="identically zero"):
         fidelity(F, F, np.ones((2, 2)), inside=False)
 
 

@@ -654,24 +654,42 @@ def test_fused_gradient_step_matches_the_gradient(m, n, seed, weights, mask_frac
     rng = np.random.default_rng(seed)
     X, X_prev = 10.0 * rng.standard_normal((2, m, n))
     Y = X + a * (X - X_prev)
-    affine = solver._affine_step(p, gamma)
-    # the cache shares F when gamma W_bar . F is F
-    assert (affine[1] is p.F) == np.array_equal(gamma * p.W_bar * p.F, p.F)
-    Z = solver._gradient_step(p, X, X_prev, a, gamma, affine)
+    step = p.op.gradient_step(p, gamma)
+    # the cache (A, C, Z) shares F when gamma W_tilde . F is F
+    assert (step.args[1] is p.F) == np.array_equal(gamma * p.W_tilde * p.F, p.F)
+    Z = step(Y)
     ref = Y - gamma * operators.gradient(p, Y)
     eps = np.finfo(float).eps
     assert np.all(np.abs(Z - ref) <= 8 * eps * (np.abs(Y) + np.abs(p.F)))
-    one = gamma * p.W_bar == 1.0
+    one = gamma * p.W_tilde == 1.0
     assert np.array_equal(Z[one], p.F[one])
-    off = p.W_bar == 0.0
+    off = p.W_tilde == 0.0
     assert np.array_equal(Z[off], Y[off])
     if gamma_L == 1.0 and isinstance(weights, problems.AllOnes):
         # unit weights at gamma = 1: F on the observed set, Y off it
         assert np.array_equal(Z, np.where(off, Y, p.F))
 
 
+def test_sensing_gradient_step_is_the_textbook_step():
+    # dense sensing steps through operators.gradient, bit for bit
+    spec = problems.SyntheticSpec(6, 5, 1, noise=problems.AdditiveGaussian(0.5),
+                                  weights=problems.UniformInt(1, 10), sensing_dim=20, seed=3)
+    p = problems.generate_full(spec).problem(1.0)
+    rng = np.random.default_rng(3)
+    for gamma_L in (1.0, 0.5, 0.01):
+        gamma = gamma_L / operators.lipschitz_bound(p)
+        step = p.op.gradient_step(p, gamma)
+        for _ in range(3):
+            Y = 10.0 * rng.standard_normal(p.domain_shape)
+            assert np.array_equal(step(Y), Y - gamma * operators.gradient(p, Y))
+
+
+def textbook_step(op, p, gamma):
+    return lambda Y: Y - gamma * operators.gradient(p, Y)
+
+
 def test_fused_gradient_step_tracks_the_textbook_step(monkeypatch):
-    # the fused step rounds differently from Y - gamma (Y - F) . W_bar, so
+    # the fused step rounds differently from Y - gamma (Y - F) . W_tilde, so
     # the solves agree to rounding, with the same path, not bit for bit
     spec = problems.SyntheticSpec(
         40, 30, 3, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.5,
@@ -693,7 +711,7 @@ def test_fused_gradient_step_tracks_the_textbook_step(monkeypatch):
                 trace.X)
 
     fused = [outcome(run) for run in runs]
-    monkeypatch.setattr(solver, "_affine_step", lambda p, gamma: None)
+    monkeypatch.setattr(operators.Identity, "gradient_step", textbook_step)
     monkeypatch.setattr(operators, "gradient", textbook_gradient)
     for (*path, X), run in zip(fused, runs):
         *ref_path, ref_X = outcome(run)
@@ -703,7 +721,7 @@ def test_fused_gradient_step_tracks_the_textbook_step(monkeypatch):
 
 def test_weighted_completion_reaches_pgd():
     # integer weights in [1, 10] on half the entries: L = 100, so gamma = 1/100
-    # and the fused step runs with gamma W_bar between 0.01 and 1; at
+    # and the fused step runs with gamma W_tilde between 0.01 and 1; at
     # tau = 10 noise_norm the optimum has rank 7, inside r = 10, and rc grows
     # to it from its start at 4
     spec = problems.SyntheticSpec(40, 40, 3, noise=problems.AdditiveGaussian(0.1),
@@ -788,6 +806,19 @@ def test_fista_stepsize_note():
     cfg = SolverConfig(rule=FistaLike(20.0), stop=Stopping(1e-8, 0.0, 1000))
     trace = pgd_solve(p, cfg)
     assert any("FISTA" in note for note in trace.notes)
+
+
+@pytest.mark.parametrize("field, value", [("max_iter", 0), ("max_iter", -3),
+                                          ("step_tol", -1e-12), ("step_tol", float("nan")),
+                                          ("rel_step_tol", -1e-4),
+                                          ("rel_step_tol", float("nan"))])
+def test_stopping_validation(field, value):
+    # max_iter 0 would run no iteration and report no convergence; a negative
+    # or NaN tolerance would silently turn its stop off
+    with pytest.raises(ValueError, match=f"{field} must be >= "):
+        Stopping(**{field: value})
+    # a zero tolerance turns its rule off on purpose
+    Stopping(step_tol=0.0, rel_step_tol=0.0, max_iter=1)
 
 
 def test_config_validation():
