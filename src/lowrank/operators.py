@@ -7,11 +7,11 @@ sensing). Matrix completion is the identity with W zero off the observed
 set: a 0/1 mask is part of the weights, not of the operator.
 
 Each operator carries its own maps on operands already validated:
-`apply(X)`, `adjoint(R)` and `operator_norm`, the loss gradient
-`gradient(p, X)`, and `gradient_step(p, gamma)`, the map
-Y -> Y - gamma grad f(Y) that the solvers take once per iteration. The
-module functions `apply`, `adjoint` and `gradient` validate the operand and
-then call the operator's method.
+`apply(X)`, `adjoint(R)` and `operator_norm`, and `gradient_step(p, gamma)`,
+the map Y -> Y - gamma grad f(Y) that the solvers take once per iteration.
+The module functions `apply` and `adjoint` validate the operand and then
+call the operator's method; `gradient` validates X and forms the loss
+gradient from the operator's `apply` and `adjoint`.
 """
 
 import functools
@@ -54,12 +54,6 @@ class Identity:
 
     adjoint = apply
 
-    def gradient(self, p, X):
-        """(X - F) . W_tilde, two passes into one new array."""
-        R = X - p.F
-        R *= p.W_tilde
-        return R
-
     def gradient_step(self, p, gamma):
         """Y -> A . Y + C = Y - gamma grad f(Y), with A and C formed once.
 
@@ -69,7 +63,7 @@ class Identity:
         Y exactly. C is F itself when the two are equal bit for bit (unit
         weights at gamma = 1), so the cache adds one array, not two. Y is
         not scanned: a non-finite Y makes Z non-finite (0 . inf is NaN), and
-        the prox step refuses it. The partial's args are (A, C, Z).
+        the prox step refuses it.
         """
         C = gamma * p.W_tilde
         A = 1.0 - C
@@ -122,10 +116,6 @@ class DenseSensing:
 
     def adjoint(self, R):
         return unvec(self.S.T @ R, self.domain_shape)
-
-    def gradient(self, p, X):
-        """op*((op(X) - F) . W_tilde): two passes over S."""
-        return self.adjoint((self.apply(X) - p.F) * p.W_tilde)
 
     def gradient_step(self, p, gamma):
         """Y -> Y - gamma grad f(Y), through the module function gradient.
@@ -209,17 +199,19 @@ def loss(p, X):
 def gradient(p, X):
     """Gradient of the smooth loss at X: op*((op(X) - F) . W_tilde).
 
-    X is scanned once for non-finite entries, then p.op.gradient forms it.
-    Dense sensing's gradient step calls this function; Identity's does not,
-    so for completion it serves the exit certificate, the tests and outside
-    callers.
+    X is scanned once for non-finite entries. The residual is weighted in
+    place, so the identity makes two passes into one new array. Dense
+    sensing's gradient step calls this function; Identity's does not, so for
+    completion it serves the exit certificate, the tests and outside callers.
     """
     X = as_matrix(X, "X")
     if X.shape != p.domain_shape:
         raise DimensionError(
             f"operand shape {X.shape} does not match domain {p.domain_shape}"
         )
-    return p.op.gradient(p, X)
+    R = p.op.apply(X) - p.F
+    R *= p.W_tilde
+    return p.op.adjoint(R)
 
 
 def lipschitz_bound(p):

@@ -113,8 +113,8 @@ def test_adjointness_property(instance, d, kind):
 
 
 def test_problem_caches_the_gradient_weights():
-    # W_tilde = W . W is cached once, and each operator's gradient is
-    # op*((op(X) - F) . W_tilde) bit for bit
+    # W_tilde = W . W is cached once, and the gradient is
+    # op*((op(X) - F) . W_tilde) bit for bit for each operator
     rng = np.random.default_rng(7)
     for op, mask in random_ops(rng, 4, 3, 5):
         shape = op.codomain_shape

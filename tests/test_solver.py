@@ -655,7 +655,8 @@ def test_fused_gradient_step_matches_the_gradient(m, n, seed, weights, mask_frac
     X, X_prev = 10.0 * rng.standard_normal((2, m, n))
     Y = X + a * (X - X_prev)
     step = p.op.gradient_step(p, gamma)
-    # the cache (A, C, Z) shares F when gamma W_tilde . F is F
+    # the cache shares F when gamma W_tilde . F is F; this reads the private
+    # layout of the step, a partial over (A, C, Z)
     assert (step.args[1] is p.F) == np.array_equal(gamma * p.W_tilde * p.F, p.F)
     Z = step(Y)
     ref = Y - gamma * operators.gradient(p, Y)
