@@ -48,7 +48,7 @@ class FixedI:
     passes: int = 1
 
     def __post_init__(self):
-        if self.passes < 1:
+        if not self.passes >= 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
 
 
@@ -60,7 +60,9 @@ class Tolerance:
     max_inner: int = 20
 
     def __post_init__(self):
-        if self.max_inner < 1:
+        if not self.eps >= 0.0:
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not self.max_inner >= 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
 
@@ -77,7 +79,7 @@ class IncreasingI:
     every: int = 50
 
     def __post_init__(self):
-        if self.start < 1 or self.every < 1:
+        if not (self.start >= 1 and self.every >= 1):
             raise ValueError(
                 f"start and every must be >= 1, got {self.start} and {self.every}"
             )

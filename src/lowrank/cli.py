@@ -1,5 +1,8 @@
 """Command-line entry point: generate problems, run solvers, sweep benchmarks.
 
+Every file format lives here: the JSON codec of specs and configs, the
+matrix and trace CSV files and the run directories; the rest only computes.
+
 Exit codes: 0 success, 2 validation failure (including a solve that
 diverges and an input file that is not a JSON object), 3 solver hit the
 iteration cap without converging, 4 I/O failure.
@@ -17,11 +20,11 @@ import numpy as np
 
 from . import __version__, problems
 from .amfit import FixedI, IncreasingI, Tolerance
-from .exceptions import DivergenceError, LowRankError
-from .linalg import read_matrix_csv, write_matrix_csv
+from .exceptions import DimensionError, DivergenceError, LowRankError
+from .linalg import as_matrix
 from .operators import DenseSensing, Identity, Problem
 from .solver import (Constant, Continuation, FistaLike, Online, SolverConfig,
-                     Stopping, Zero, pgd_solve, prograamme_solve)
+                     Stopping, TraceRecord, Zero, pgd_solve, prograamme_solve)
 
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
@@ -35,13 +38,17 @@ _RULES = {"zero": Zero, "constant": Constant, "fista": FistaLike, "online": Onli
 #: The inertial rule each SVT baseline runs; the factored solvers take any rule.
 _SVT_RULES = {"pgd": Zero, "fista": FistaLike}
 _INNER = {"fixed": FixedI, "tolerance": Tolerance, "increasing": IncreasingI}
+_NOISE = {c.__name__: c for c in (problems.GaussianScaled, problems.SparseLarge,
+                                   problems.AdditiveGaussian)}
+_WEIGHTS = {c.__name__: c for c in (problems.AllOnes, problems.UniformInt,
+                                    problems.LargeOnSupport)}
 _TAU_PRESETS = {"noise_norm": 1.0, "2*noise_norm": 2.0}
 #: The top-level config keys a run reads; any other key is refused.
 _CONFIG_KEYS = {"tau", "gamma", "r", "rule", "inner", "stop", "trace_level"}
 
 
 # ---------------------------------------------------------------------------
-# JSON files and exit codes
+# exit codes, JSON files and CSV files (one matrix or one trace per file)
 
 @contextmanager
 def _exit_codes():
@@ -71,13 +78,63 @@ def _write_json(path, obj):
         json.dump(obj, fh, indent=2)
 
 
-# ---------------------------------------------------------------------------
-# config plumbing
+TRACE_HEADER = [f.name for f in dataclasses.fields(TraceRecord)]
 
-def _parse(table, d, default):
-    """Build table[d["type"]] from the other fields of d (default when d is empty)."""
-    d = dict(d or default)
+
+def _write_csv(path, header, rows):
+    # csv writes floats by repr, NaN as nan
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def write_trace_csv(path, trace):
+    """Write TRACE_HEADER, then one row per TraceRecord of the SolveTrace."""
+    _write_csv(path, TRACE_HEADER, map(dataclasses.astuple, trace.records))
+
+
+def write_matrix_csv(path, A):
+    """Write a matrix as plain CSV: one row per line, '.' decimal, no header."""
+    np.savetxt(path, as_matrix(A), delimiter=",", fmt="%.17g")
+
+
+def read_matrix_csv(path, shape):
+    """Read a matrix written by write_matrix_csv; any other shape raises DimensionError."""
+    A = as_matrix(np.loadtxt(path, delimiter=",", ndmin=2), str(path))
+    if A.shape != tuple(shape):
+        raise DimensionError(f"{path}: expected shape {tuple(shape)}, got {A.shape}")
+    return A
+
+
+# ---------------------------------------------------------------------------
+# the JSON codec of specs and configs
+
+def _tagged(obj, *variants):
+    """asdict(obj) with each named variant field as {"type": class name, **fields}."""
+    d = dataclasses.asdict(obj)
+    for name in variants:
+        value = getattr(obj, name)
+        d[name] = {"type": type(value).__name__, **dataclasses.asdict(value)}
+    return d
+
+
+def _parse(table, obj, key, default):
+    """Build table[d["type"]] from the other fields of d = obj.get(key, default).
+
+    A present key must hold an object that names a type of the table.
+    """
+    d = obj.get(key, default)
+    if not isinstance(d, dict) or d.get("type") not in table:
+        raise LowRankError(f"{key} must be an object whose type is one of "
+                           f"{', '.join(table)}, got {d!r}")
+    d = dict(d)
     return table[d.pop("type")](**d)
+
+
+def parse_spec(d):
+    """The SyntheticSpec of a spec object, as the manifest's "spec" records it."""
+    noise = _parse(_NOISE, d, "noise", {"type": "AdditiveGaussian"})
+    weights = _parse(_WEIGHTS, d, "weights", {"type": "AllOnes"})
+    return problems.SyntheticSpec(**dict(d, noise=noise, weights=weights))
 
 
 def build_solver_config(cfg, algorithm):
@@ -93,7 +150,7 @@ def build_solver_config(cfg, algorithm):
     unread = sorted(set(cfg) - _CONFIG_KEYS)
     if unread:
         raise LowRankError(f"config key(s) not read by the solver: {', '.join(unread)}")
-    rule = _parse(_RULES, cfg.get("rule"), {"type": "fista" if algorithm == "fista" else "zero"})
+    rule = _parse(_RULES, cfg, "rule", {"type": "fista" if algorithm == "fista" else "zero"})
     fixed = _SVT_RULES.get(algorithm)
     if fixed is not None and not isinstance(rule, fixed):
         raise LowRankError(f"algorithm {algorithm!r} runs the {fixed.__name__} rule, "
@@ -101,7 +158,7 @@ def build_solver_config(cfg, algorithm):
     return SolverConfig(
         gamma=cfg.get("gamma"),
         rule=rule,
-        inner=_parse(_INNER, cfg.get("inner"), {"type": "fixed", "passes": 1}),
+        inner=_parse(_INNER, cfg, "inner", {"type": "fixed", "passes": 1}),
         r=int(cfg.get("r", 10)),
         continuation=Continuation(enabled=algorithm == "prograamme-rc"),
         stop=Stopping(**cfg.get("stop", {})),
@@ -145,7 +202,7 @@ def write_problem_dir(gen, out_dir):
         write_matrix_csv(out / f"{name}.csv", A)
     manifest = {
         "version": __version__,
-        "spec": problems.spec_to_dict(gen.spec),
+        "spec": _tagged(gen.spec, "noise", "weights"),
         "seed": gen.spec.seed,
         "shapes": {name: list(A.shape) for name, A in arrays.items()},
         "noise_norm": gen.noise_norm,
@@ -184,12 +241,22 @@ def _run(p, cfg, algorithm, seed, out):
     """
     trace = _SOLVERS[algorithm](p, cfg, seed=seed)
     out.mkdir(parents=True, exist_ok=True)
-    trace.write_csv(out / "trace.csv")
-    summary = trace.summary(cfg, algorithm)
-    summary.update({"tau": p.tau, "version": __version__})
-    if isinstance(cfg.rule, FistaLike):
-        summary["inertial_rule"] = f"a_k = (k-1)/(k+{cfg.rule.d:g})"
-    _write_json(out / "summary.json", summary)
+    write_trace_csv(out / "trace.csv", trace)
+    _write_json(out / "summary.json", {
+        "algorithm": algorithm,
+        "seed": trace.seed,
+        "converged": trace.converged,
+        "iterations": trace.iterations,
+        "final_rank": trace.final_rank,
+        "total_seconds": trace.seconds,
+        "gamma": trace.gamma,
+        "lipschitz": trace.lipschitz,
+        "exit_residual": trace.exit_residual,
+        "notes": list(trace.notes),
+        "config": _tagged(cfg, "rule", "inner"),
+        "tau": p.tau,
+        "version": __version__,
+    })
     return trace
 
 
@@ -237,7 +304,7 @@ def run_bench(suite, out_dir, repeats, seed=None):
         config = entry["config"]
         # checks the key and the preset name; the noise norm comes per repeat
         resolve_tau(config, 0.0)
-        runs.append((entry["name"], entry["algorithm"], problems.spec_from_dict(entry["spec"]),
+        runs.append((entry["name"], entry["algorithm"], parse_spec(entry["spec"]),
                      config, build_solver_config(config, entry["algorithm"])))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,7 +327,7 @@ def run_bench(suite, out_dir, repeats, seed=None):
                 warnings_seen.append(f"{name} rep {rep}: {exc}")
                 if exc.trace is not None:
                     rep_dir.mkdir(parents=True, exist_ok=True)
-                    exc.trace.write_csv(rep_dir / "trace.csv")
+                    write_trace_csv(rep_dir / "trace.csv", exc.trace)
                 continue
             times.append(trace.seconds)
             iters.append(trace.iterations)
@@ -280,10 +347,8 @@ def run_bench(suite, out_dir, repeats, seed=None):
             "all_converged": converged_all,
             "diverged": diverged,
         })
-    with open(out / "aggregate.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=AGGREGATE_HEADER)
-        w.writeheader()
-        w.writerows(rows)
+    _write_csv(out / "aggregate.csv", AGGREGATE_HEADER,
+               ([row[k] for k in AGGREGATE_HEADER] for row in rows))
     _write_json(out / "bench_manifest.json", {
         "version": __version__,
         "suite": suite,
@@ -312,7 +377,7 @@ def cmd_generate(spec_file, out_dir, seed):
     """Generate a synthetic problem directory from a JSON spec."""
     spec_dict = _read_json(spec_file)
     spec_dict["seed"] = resolve_seed(spec_dict.get("seed", 0), seed)
-    write_problem_dir(problems.generate_full(problems.spec_from_dict(spec_dict)), out_dir)
+    write_problem_dir(problems.generate_full(parse_spec(spec_dict)), out_dir)
     click.echo(f"wrote problem artifacts to {out_dir}")
 
 

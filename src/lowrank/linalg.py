@@ -1,9 +1,11 @@
 """Dense linear-algebra kernels shared by the solvers.
 
 All routines operate on plain 2-D float64 numpy arrays in row-major order.
-Inputs are validated once on entry; every function is pure. Kernels that run
-inside a solver iteration stay on numpy's BLAS/LAPACK, because scipy ships a
-second OpenBLAS whose thread pool contends with numpy's when calls alternate.
+Inputs are validated once on entry; every function is pure and none reads
+or writes a file (the CSV format of a matrix belongs to the CLI). Kernels
+that run inside a solver iteration stay on numpy's BLAS/LAPACK, because
+scipy ships a second OpenBLAS whose thread pool contends with numpy's when
+calls alternate.
 numpy has no triangular solve, so spd_solve forms the inverse of its
 Cholesky factor by recursive blocks, which keeps the work in GEMMs and is as
 stable as a triangular solve (see spd_solve).
@@ -217,25 +219,3 @@ def spectral_norm(A, rel_tol=1e-10, max_iter=10000):
         f"relative residual {rho / theta if theta > 0.0 else np.inf:.2e})"
     )
 
-
-def write_matrix_csv(path, A):
-    """Write a matrix as plain CSV: one row per line, '.' decimal, no header."""
-    A = as_matrix(A)
-    np.savetxt(path, A, delimiter=",", fmt="%.17g")
-
-
-def read_matrix_csv(path, expected_shape=None):
-    """Read a plain CSV matrix written by :func:`write_matrix_csv`.
-
-    Args:
-        path: File to read.
-        expected_shape: Optional (rows, cols) sidecar check; a mismatch
-            raises DimensionError.
-    """
-    A = np.loadtxt(path, delimiter=",", ndmin=2)
-    A = as_matrix(A, str(path))
-    if expected_shape is not None and tuple(A.shape) != tuple(expected_shape):
-        raise DimensionError(
-            f"{path}: expected shape {tuple(expected_shape)}, got {A.shape}"
-        )
-    return A

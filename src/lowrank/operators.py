@@ -178,8 +178,8 @@ class Problem:
             raise ValueError("weights must be nonnegative")
         if not np.any(W):
             raise DegenerateProblemError("weight matrix is identically zero")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "tau", float(self.tau))

@@ -6,7 +6,7 @@ numpy's default PCG64 generator seeded from the spec, making every
 generated instance reproducible across platforms.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class LargeOnSupport:
     w_max: float = 10.0
 
 
-_NOISE_TYPES = {c.__name__: c for c in (GaussianScaled, SparseLarge, AdditiveGaussian)}
-_WEIGHT_TYPES = {c.__name__: c for c in (AllOnes, UniformInt, LargeOnSupport)}
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for one synthetic recovery instance.
@@ -112,27 +108,6 @@ class SyntheticSpec:
         wmin = getattr(self.weights, "w_min", None)
         if wmin is not None and wmin > self.weights.w_max:
             raise InvalidSpecError("w_min must not exceed w_max")
-
-
-def spec_to_dict(spec):
-    d = asdict(spec)
-    d["noise"] = {"type": type(spec.noise).__name__, **asdict(spec.noise)}
-    d["weights"] = {"type": type(spec.weights).__name__, **asdict(spec.weights)}
-    return d
-
-
-def spec_from_dict(d):
-    d = dict(d)
-    noise = dict(d.get("noise", {"type": "AdditiveGaussian"}))
-    weights = dict(d.get("weights", {"type": "AllOnes"}))
-    try:
-        noise_cls = _NOISE_TYPES[noise.pop("type")]
-        weight_cls = _WEIGHT_TYPES[weights.pop("type")]
-        d["noise"] = noise_cls(**noise)
-        d["weights"] = weight_cls(**weights)
-        return SyntheticSpec(**d)
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpecError(f"malformed synthetic spec: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

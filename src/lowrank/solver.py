@@ -10,14 +10,13 @@ prox step differs: the factored inner solve with its rank read and rank
 budget, or the exact SVT.
 """
 
-import csv
 import time
-from dataclasses import dataclass, field, asdict, astuple, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import amfit, operators, prox
-from .amfit import FactorPair, FixedI, IncreasingI, Tolerance
+from .amfit import FactorPair, FixedI, IncreasingI
 from .exceptions import DimensionError, DivergenceError, NonFiniteError
 from .linalg import DEFAULT_RANK_TOL, as_matrix
 
@@ -77,8 +76,9 @@ class Online:
     def __post_init__(self):
         if not 0.0 <= self.a <= 1.0:
             raise ValueError(f"a must lie in [0, 1], got {self.a}")
-        if self.c <= 0.0 or self.delta <= 0.0:
-            raise ValueError("c and delta must be positive")
+        # c = inf is the constant rule a_k = a
+        if not (self.c > 0.0 and self.delta > 0.0):
+            raise ValueError(f"c and delta must be positive, got {self.c} and {self.delta}")
 
 
 def inertial_value(rule, k, step_norm_prev=0.0):
@@ -134,7 +134,7 @@ class Stopping:
         for name in ("step_tol", "rel_step_tol"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
@@ -157,9 +157,9 @@ class SolverConfig:
     trace_level: str = "light"
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.r < 1:
+        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not self.r >= 1:
             raise ValueError(f"factor rank must be >= 1, got {self.r}")
         if self.trace_level not in ("light", "full"):
             raise ValueError(f"trace_level must be 'light' or 'full', got {self.trace_level!r}")
@@ -174,9 +174,6 @@ class TraceRecord:
     rank_x: int
     r: int
     inner_iters: int
-
-
-TRACE_HEADER = [f.name for f in fields(TraceRecord)]
 
 
 @dataclass
@@ -200,38 +197,6 @@ class SolveTrace:
 
     def column(self, name):
         return [getattr(rec, name) for rec in self.records]
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRACE_HEADER)
-            # csv writes floats by repr, NaN as nan
-            w.writerows(astuple(rec) for rec in self.records)
-
-    def summary(self, config=None, algorithm=None):
-        out = {
-            "algorithm": algorithm,
-            "seed": self.seed,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "final_rank": self.final_rank,
-            "total_seconds": self.seconds,
-            "gamma": self.gamma,
-            "lipschitz": self.lipschitz,
-            "exit_residual": self.exit_residual,
-            "notes": list(self.notes),
-        }
-        if config is not None:
-            out["config"] = config_to_dict(config)
-        return out
-
-
-def config_to_dict(cfg):
-    """JSON-serializable echo of a SolverConfig."""
-    d = asdict(cfg)
-    d["rule"] = {"type": type(cfg.rule).__name__, **asdict(cfg.rule)}
-    d["inner"] = {"type": type(cfg.inner).__name__, **asdict(cfg.inner)}
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +351,10 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     Args:
         p: Problem instance.
         cfg: SolverConfig; cfg.r is the factor rank budget, rc's cap.
-        X0: Starting iterate, zero matrix by default.
-        seed: Seed for the cold-start factor generator.
+        X0: Starting iterate, zero matrix by default. A given X0 also
+            starts the factor pair: at X0 itself when its rank is at most
+            r, otherwise at its projection on a random rank-r range.
+        seed: Seed for the start and restart factor generator.
 
     Returns:
         SolveTrace. Elapsed times cover the whole iteration, including the
@@ -432,7 +399,13 @@ def _solve(p, cfg, X0, seed, exact):
         grow_rng = np.random.default_rng(1)
         r_cap = min(cfg.r, m, n)
         r = min(r_cap, _RANK_MARGIN) if adaptive else r_cap
-        pair = amfit.random_pair(m, n, r, rng)
+        if X0 is None:
+            pair = amfit.random_pair(m, n, r, rng)
+        else:
+            # factor the start over a sketch of its range, so that a start
+            # at the optimum is a fixed point of the inner solve
+            Q = np.linalg.qr(X @ rng.standard_normal((n, r)))[0]
+            pair = truncate_factors(Q, Q.T @ X, r)
 
     # Y -> Y - gamma grad f(Y), taken as the operator sees fit
     gradient_step = p.op.gradient_step(p, gamma)

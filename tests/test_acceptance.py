@@ -19,8 +19,8 @@ from lowrank.operators import (DenseSensing, Identity, Problem,
                                gradient, lipschitz_bound, loss)
 from lowrank.problems import AdditiveGaussian, SyntheticSpec, UniformInt
 from lowrank.prox import svt_with_rank
-from lowrank.solver import (_RANK_MARGIN, Constant, Continuation, SolverConfig,
-                            Stopping, Zero, pgd_solve, prograamme_solve)
+from lowrank.solver import (_RANK_MARGIN, Continuation, SolverConfig, Stopping,
+                            pgd_solve, prograamme_solve)
 
 from helpers import condition_number_sweep
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lowrank import amfit, problems
+from lowrank import problems
 from lowrank.amfit import (FactorPair, FixedI, IncreasingI, Tolerance,
                            inner_solve, random_pair, update_U, update_V)
 from lowrank.exceptions import DimensionError, NonFiniteError

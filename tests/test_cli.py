@@ -8,8 +8,8 @@ from click.testing import CliRunner
 
 from lowrank import cli, problems, solver
 from lowrank.amfit import FixedI, Tolerance
-from lowrank.linalg import read_matrix_csv
-from lowrank.solver import Constant, FistaLike, Zero
+from lowrank.exceptions import DimensionError
+from lowrank.solver import Constant, FistaLike, SolverConfig, Stopping, Zero
 
 
 SPEC = {
@@ -84,7 +84,7 @@ def test_problem_dir_round_trips(tmp_path, kind):
     cli.write_problem_dir(gen, tmp_path)
     op, F, W, noise_norm, manifest = cli.load_problem_dir(tmp_path)
     # a solve reads only the shape of the ground truth, but the file holds all of it
-    gt = read_matrix_csv(tmp_path / "ground_truth.csv", manifest["shapes"]["ground_truth"])
+    gt = cli.read_matrix_csv(tmp_path / "ground_truth.csv", manifest["shapes"]["ground_truth"])
     assert type(op) is type(gen.op)
     assert op.domain_shape == gen.op.domain_shape
     if hasattr(gen.op, "S"):
@@ -92,7 +92,37 @@ def test_problem_dir_round_trips(tmp_path, kind):
     for got, want in ((F, gen.F), (W, gen.W), (gt, gen.ground_truth)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert noise_norm == gen.noise_norm
-    assert problems.spec_from_dict(manifest["spec"]) == spec
+    assert cli.parse_spec(manifest["spec"]) == spec
+
+
+def test_matrix_csv_roundtrip(tmp_path):
+    A = np.random.default_rng(13).standard_normal((5, 3))
+    path = tmp_path / "a.csv"
+    cli.write_matrix_csv(path, A)
+    assert cli.read_matrix_csv(path, (5, 3)).tobytes() == A.tobytes()
+
+
+def test_matrix_csv_shape_check(tmp_path):
+    path = tmp_path / "a.csv"
+    cli.write_matrix_csv(path, np.ones((2, 2)))
+    with pytest.raises(DimensionError):
+        cli.read_matrix_csv(path, (3, 2))
+
+
+def test_trace_csv_roundtrip(tmp_path):
+    spec = problems.SyntheticSpec(30, 30, 3, noise=problems.AdditiveGaussian(0.1),
+                                  mask_fraction=0.5, seed=1)
+    gen = problems.generate_full(spec)
+    trace = solver.pgd_solve(gen.problem(gen.noise_norm),
+                             SolverConfig(stop=Stopping(1e-6, 0.0, 50), trace_level="full"))
+    path = tmp_path / "trace.csv"
+    cli.write_trace_csv(path, trace)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == cli.TRACE_HEADER == ["k", "elapsed_s", "objective", "step_norm",
+                                           "rank_x", "r", "inner_iters"]
+    assert len(rows) == len(trace.records) + 1
+    assert [float(row[3]) for row in rows[1:]] == trace.column("step_norm")
 
 
 def test_generate_seed_flag_beats_file(tmp_path, runner):
@@ -226,7 +256,9 @@ def test_solve_fista_echoes_rule(tmp_path, runner):
     assert result.exit_code == 0, result.output
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
-    assert summary["inertial_rule"] == "a_k = (k-1)/(k+20)"
+    # the config echo holds the rule's type and d, and so its formula
+    assert summary["config"]["rule"] == {"type": "FistaLike", "d": 20.0}
+    assert "inertial_rule" not in summary
 
 
 def test_solve_non_convergence_exits_3(tmp_path, runner):

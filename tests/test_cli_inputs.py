@@ -101,3 +101,21 @@ def test_generate_with_exact_mask_count_exits_2(tmp_path):
     result = invoke(tmp_path, "generate", spec)
     assert result.exit_code == cli.EXIT_VALIDATION, result.output
     assert "exact_mask_count" in result.output
+
+
+# a present rule or inner policy must name its type, and a number must be
+# finite (json reads 1e999 as inf); each exits 2 and names its field
+@pytest.mark.parametrize("field, text", [("gamma", '"gamma": 1e999'),
+                                         ("rule", '"rule": {}'),
+                                         ("rule", '"rule": null'),
+                                         ("inner", '"inner": null')],
+                         ids=["gamma-inf", "rule-empty", "rule-null", "inner-null"])
+def test_config_field_with_a_bad_value_exits_2(tmp_path, problem_dir, field, text):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIG)[:-1] + ", " + text + "}")
+    result = CliRunner().invoke(cli.main, ["solve", "--config", str(path),
+                                           "--problem", str(problem_dir), "--algo", "prograamme",
+                                           "--out", str(tmp_path / "out")])
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert f"{field} must be" in result.output
+    assert not (tmp_path / "out").exists()

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowrank import linalg
-from lowrank.exceptions import (DefinitenessError, DimensionError, NonFiniteError,
-                                 NumericalError)
+from lowrank.exceptions import DefinitenessError, NonFiniteError, NumericalError
 
 
 def test_spd_solve_identity():
@@ -259,21 +258,6 @@ def test_spectral_norm_tells_non_finite_from_overflow(bad, error):
         for M in (B, B.T):
             with pytest.raises(error):
                 linalg.spectral_norm(M)
-
-
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((5, 3))
-    path = tmp_path / "a.csv"
-    linalg.write_matrix_csv(path, A)
-    np.testing.assert_allclose(linalg.read_matrix_csv(path, (5, 3)), A, rtol=1e-15)
-
-
-def test_csv_shape_check(tmp_path):
-    path = tmp_path / "a.csv"
-    linalg.write_matrix_csv(path, np.ones((2, 2)))
-    with pytest.raises(DimensionError):
-        linalg.read_matrix_csv(path, (3, 2))
 
 
 def test_as_matrix_rejects_nonfinite():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lowrank import problems
+from lowrank import cli, problems
 from lowrank.exceptions import (DegenerateProblemError, DimensionError,
-                                InvalidSpecError)
+                                InvalidSpecError, LowRankError)
 from lowrank.operators import DenseSensing, Identity
 from lowrank.problems import (AdditiveGaussian, AllOnes, GaussianScaled,
                               LargeOnSupport, SparseLarge, SyntheticSpec,
-                              UniformInt, generate_full, rmse, spec_from_dict,
-                              spec_to_dict)
+                              UniformInt, generate_full, rmse)
 
 from helpers import condition_number_sweep, fidelity
 
@@ -31,12 +30,17 @@ def test_spec_validation():
         SyntheticSpec(10, 10, 2, weights=UniformInt(5, 2))
 
 
+def spec_json(spec):
+    """The spec object that a problem manifest records."""
+    return cli._tagged(spec, "noise", "weights")
+
+
 def test_spec_json_roundtrip():
     spec = SyntheticSpec(
         20, 15, 3, noise=SparseLarge(-50, 50, 0.1),
         weights=LargeOnSupport(0.2, 5.0, 10.0), mask_fraction=0.7, seed=9,
     )
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert cli.parse_spec(spec_json(spec)) == spec
 
 
 _fractions = st.floats(0.01, 0.99)
@@ -70,12 +74,15 @@ def specs(draw):
 @settings(max_examples=200, deadline=None)
 @given(specs())
 def test_spec_survives_json(spec):
-    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+    assert cli.parse_spec(json.loads(json.dumps(spec_json(spec)))) == spec
 
 
 def test_spec_from_dict_rejects_unknown_type():
-    with pytest.raises(InvalidSpecError):
-        spec_from_dict({"m": 5, "n": 5, "rank": 1, "noise": {"type": "Cauchy"}})
+    # an absent noise field takes the default; a present one must name a type
+    for noise in ({"type": "Cauchy"}, {}, None, "AdditiveGaussian"):
+        with pytest.raises(LowRankError, match="noise must be an object whose type is one of"):
+            cli.parse_spec({"m": 5, "n": 5, "rank": 1, "noise": noise})
+    assert cli.parse_spec({"m": 5, "n": 5, "rank": 1}).noise == AdditiveGaussian()
 
 
 def test_generator_is_deterministic():

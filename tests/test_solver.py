@@ -1,4 +1,3 @@
-import csv
 import re
 
 import numpy as np
@@ -114,6 +113,25 @@ def test_pgd_terminates_at_fixed_point():
     again = pgd_solve(p, cfg, X0=star.X)
     assert again.converged
     assert again.iterations <= 3
+
+
+@pytest.mark.parametrize("continuation", [Continuation(), Continuation(enabled=True)],
+                         ids=["plain", "rc"])
+def test_factored_terminates_at_fixed_point(continuation):
+    # a warm start seeds the factor pair, so a start at the optimum stays there
+    spec = problems.SyntheticSpec(
+        60, 60, 3, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.5, seed=3
+    )
+    gen = problems.generate_full(spec)
+    p = gen.problem(gen.noise_norm)
+    stop = Stopping(1e-8, 0.0, 2000)
+    star = pgd_solve(p, SolverConfig(stop=stop))
+    assert star.converged
+    again = prograamme_solve(p, SolverConfig(r=10, stop=stop, continuation=continuation),
+                             X0=star.X, seed=1)
+    assert again.converged
+    assert again.iterations <= 3
+    assert np.linalg.norm(again.X - star.X) <= 1e-8 * max(np.linalg.norm(star.X), 1.0)
 
 
 def test_solver_agreement_small():
@@ -450,7 +468,6 @@ def test_binding_budget_fails_its_exit_certificate(monkeypatch):
         assert trace.final_rank == trace.records[-1].r == 8
         assert any("binds at exit" in note for note in trace.notes)
         assert dist(trace) > 1e-2
-        assert trace.summary()["exit_residual"] == trace.exit_residual
     # below the cap, a failed certificate grows rc's budget and the run goes
     # on; a cadence longer than the run leaves growth to the certificate
     monkeypatch.setattr(solver, "_CADENCE", 10**6)
@@ -461,7 +478,6 @@ def test_binding_budget_fails_its_exit_certificate(monkeypatch):
     # an exit below the budget needs no certificate
     trace = run(40, Continuation())
     assert trace.converged and trace.exit_residual is None
-    assert trace.summary()["exit_residual"] is None
 
 
 @st.composite
@@ -790,18 +806,6 @@ def test_trace_is_deterministic():
     np.testing.assert_array_equal(t1.X, t2.X)
 
 
-def test_trace_csv_roundtrip(tmp_path):
-    p, _ = small_completion_problem()
-    trace = pgd_solve(p, SolverConfig(stop=Stopping(1e-6, 0.0, 50), trace_level="full"))
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == solver.TRACE_HEADER
-    assert len(rows) == len(trace.records) + 1
-    assert float(rows[1][3]) == trace.records[0].step_norm
-
-
 def test_fista_stepsize_note():
     p, _ = small_completion_problem()
     cfg = SolverConfig(rule=FistaLike(20.0), stop=Stopping(1e-8, 0.0, 1000))
@@ -820,6 +824,27 @@ def test_stopping_validation(field, value):
         Stopping(**{field: value})
     # a zero tolerance turns its rule off on purpose
     Stopping(step_tol=0.0, rel_step_tol=0.0, max_iter=1)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SolverConfig(gamma=float("nan")), "gamma"),
+    (lambda: SolverConfig(gamma=float("inf")), "gamma"),
+    (lambda: Online(c=float("nan")), "c and delta"),
+    (lambda: Online(delta=float("nan")), "c and delta"),
+    (lambda: Tolerance(eps=float("nan")), "eps"),
+    (lambda: Tolerance(eps=-1.0), "eps"),
+    (lambda: Problem(Identity((2, 2)), np.ones((2, 2)), np.ones((2, 2)), float("inf")), "tau"),
+    (lambda: FixedI(float("nan")), "passes"),
+    (lambda: Stopping(max_iter=float("nan")), "max_iter"),
+], ids=["gamma-nan", "gamma-inf", "online-c-nan", "online-delta-nan", "eps-nan",
+        "eps-negative", "tau-inf", "passes-nan", "max-iter-nan"])
+def test_config_refuses_nan_and_inf(make, field):
+    # a NaN gamma or an infinite tau used to fail later, as a non-finite
+    # iterate, blaming the iteration for a bad input
+    with pytest.raises(ValueError, match=field):
+        make()
+    # c = inf caps nothing: the rule is the constant a
+    assert inertial_value(Online(a=0.3, c=float("inf")), 5, 1e-3) == 0.3
 
 
 def test_config_validation():
