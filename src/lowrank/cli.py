@@ -132,6 +132,8 @@ def _parse(table, obj, key, default):
 
 def parse_spec(d):
     """The SyntheticSpec of a spec object, as the manifest's "spec" records it."""
+    if not isinstance(d, dict):
+        raise LowRankError(f"spec must be an object, got {d!r}")
     noise = _parse(_NOISE, d, "noise", {"type": "AdditiveGaussian"})
     weights = _parse(_WEIGHTS, d, "weights", {"type": "AllOnes"})
     return problems.SyntheticSpec(**dict(d, noise=noise, weights=weights))

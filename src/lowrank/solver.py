@@ -31,6 +31,10 @@ _CADENCE = 3
 #: budget is not certified.
 _EXIT_RESIDUAL_TOL = 1e-6
 
+#: Least start of a warm pair's column, relative to X0: nonzero, so that it
+#: can grow, and far below DEFAULT_RANK_TOL, so that it is not in the rank.
+_WARM_FILL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # inertial rules
@@ -304,24 +308,44 @@ def _prox_residual(p, X, gamma):
     return float(np.linalg.norm(R)) / (gamma * max(float(np.linalg.norm(X)), 1.0))
 
 
-def _grow_factors(R, mu, pair, r_cap, rng):
-    """Append the SVT of the top part of the prox residual R to the factors.
+def _warm_pair(X, Z, mu, r, rng):
+    """Width-r factor pair that starts the inner solve at a nonzero X.
 
-    Two block power steps of width b = min(r, r_cap - r) find the top of
-    R = Z - UV; every singular value s_i > mu of that part adds the column
-    Q P_i sqrt(s_i - mu) to U and the row sqrt(s_i - mu) Wt_i to V. With UV
-    the rank-r part of SVT(Z, mu), these are its missing terms. Returns
-    None when no s_i exceeds mu.
+    The k directions of X that count in its rank, found over a random
+    sketch of its range, keep their singular values: with k = rank X <= r
+    this is X, so a start at the optimum is a fixed point. The alternating
+    updates never move a zero direction, so the other r - k columns come
+    from the first prox residual outside the range of X, by _grow_factors
+    with a fill of _WARM_FILL times the top singular value of X.
     """
-    b = min(pair.r, r_cap - pair.r)
+    Q = np.linalg.qr(X @ rng.standard_normal((X.shape[1], r)))[0]
+    P, s, Wt = np.linalg.svd(Q.T @ X, full_matrices=False)
+    k = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
+    Qx, root = Q @ P[:, :k], np.sqrt(s[:k])
+    pair = FactorPair(Qx * root, root[:, None] * Wt[:k])
+    if k == r:
+        return pair
+    R = as_matrix(Z, "Z") - pair.product()
+    return _grow_factors(R - Qx @ (Qx.T @ R), mu, pair, r - k, rng, _WARM_FILL * s[0])
+
+
+def _grow_factors(R, mu, pair, b, rng, fill=None):
+    """Append the SVT of the top b directions of the prox residual R to the factors.
+
+    Two block power steps find the top of R = Z - UV; every singular value
+    s_i > mu of that part adds the column Q P_i sqrt(s_i - mu) to U and the
+    row sqrt(s_i - mu) Wt_i to V. With UV the rank-r part of SVT(Z, mu),
+    these are its missing terms. Returns None when no s_i exceeds mu. With
+    a fill, every direction is added, at s_i - mu or fill if that is larger.
+    """
     Q = np.linalg.qr(R @ rng.standard_normal((R.shape[1], b)))[0]
     for _ in range(2):
         Q = np.linalg.qr(R @ (R.T @ Q))[0]
     P, s, Wt = np.linalg.svd(Q.T @ R, full_matrices=False)
-    keep = s > mu
+    keep = s > mu if fill is None else s >= 0.0
     if not keep.any():
         return None
-    root = np.sqrt(s[keep] - mu)
+    root = np.sqrt(np.maximum(s[keep] - mu, fill or 0.0))
     return FactorPair(np.hstack([pair.U, (Q @ P[:, keep]) * root]),
                       np.vstack([pair.V, root[:, None] * Wt[keep]]))
 
@@ -351,9 +375,10 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     Args:
         p: Problem instance.
         cfg: SolverConfig; cfg.r is the factor rank budget, rc's cap.
-        X0: Starting iterate, zero matrix by default. A given X0 also
-            starts the factor pair: at X0 itself when its rank is at most
-            r, otherwise at its projection on a random rank-r range.
+        X0: Starting iterate, zero matrix by default. A nonzero X0 also
+            starts the factor pair (_warm_pair): at X0 itself when its rank
+            is at most r, otherwise at its projection on a random rank-r
+            range, with any free columns taken from the first prox residual.
         seed: Seed for the start and restart factor generator.
 
     Returns:
@@ -399,13 +424,8 @@ def _solve(p, cfg, X0, seed, exact):
         grow_rng = np.random.default_rng(1)
         r_cap = min(cfg.r, m, n)
         r = min(r_cap, _RANK_MARGIN) if adaptive else r_cap
-        if X0 is None:
-            pair = amfit.random_pair(m, n, r, rng)
-        else:
-            # factor the start over a sketch of its range, so that a start
-            # at the optimum is a fixed point of the inner solve
-            Q = np.linalg.qr(X @ rng.standard_normal((n, r)))[0]
-            pair = truncate_factors(Q, Q.T @ X, r)
+        # a nonzero start is factored at the first gradient step (_warm_pair)
+        pair = None if np.any(X) else amfit.random_pair(m, n, r, rng)
 
     # Y -> Y - gamma grad f(Y), taken as the operator sees fit
     gradient_step = p.op.gradient_step(p, gamma)
@@ -445,7 +465,9 @@ def _solve(p, cfg, X0, seed, exact):
                 inner_iters = 0
             else:
                 policy = cfg.inner.resolve(k) if isinstance(cfg.inner, IncreasingI) else cfg.inner
-                if pair.is_zero():
+                if pair is None:
+                    pair = _warm_pair(X, Z, mu, r, rng)
+                elif pair.is_zero():
                     # degenerate fixed point of the inner iteration; restart
                     pair = amfit.random_pair(m, n, r, rng)
                 pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
@@ -476,7 +498,7 @@ def _solve(p, cfg, X0, seed, exact):
         grown = None
         if (adaptive and binding and r < r_cap
                 and (uncertified or (held >= _CADENCE and not stop))):
-            grown = _grow_factors(Z - X_new, mu, pair, r_cap, grow_rng)
+            grown = _grow_factors(Z - X_new, mu, pair, min(r, r_cap - r), grow_rng)
             # whether or not it adds columns, the next attempt waits for
             # _CADENCE more reads
             held = 0

@@ -35,6 +35,15 @@ def test_input_that_is_not_an_object_exits_2(tmp_path, problem_dir, command, obj
     assert "does not hold a JSON object" in result.output
 
 
+@pytest.mark.parametrize("spec", [None, [], "spec", 3], ids=repr)
+def test_bench_run_whose_spec_is_not_an_object_exits_2(tmp_path, spec):
+    suite = {"runs": [{"name": "a", "algorithm": "pgd", "config": CONFIG, "spec": spec}]}
+    result = invoke(tmp_path, "bench", suite)
+    assert result.exit_code == cli.EXIT_VALIDATION, result.output
+    assert "spec must be an object" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("inner", [{"type": "increasing", "every": 0},
                                    {"type": "increasing", "start": 0},
                                    {"type": "fixed", "passes": 0},

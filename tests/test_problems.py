@@ -30,17 +30,12 @@ def test_spec_validation():
         SyntheticSpec(10, 10, 2, weights=UniformInt(5, 2))
 
 
-def spec_json(spec):
-    """The spec object that a problem manifest records."""
-    return cli._tagged(spec, "noise", "weights")
-
-
 def test_spec_json_roundtrip():
     spec = SyntheticSpec(
         20, 15, 3, noise=SparseLarge(-50, 50, 0.1),
         weights=LargeOnSupport(0.2, 5.0, 10.0), mask_fraction=0.7, seed=9,
     )
-    assert cli.parse_spec(spec_json(spec)) == spec
+    assert cli.parse_spec(cli._tagged(spec, "noise", "weights")) == spec
 
 
 _fractions = st.floats(0.01, 0.99)
@@ -74,7 +69,7 @@ def specs(draw):
 @settings(max_examples=200, deadline=None)
 @given(specs())
 def test_spec_survives_json(spec):
-    assert cli.parse_spec(json.loads(json.dumps(spec_json(spec)))) == spec
+    assert cli.parse_spec(json.loads(json.dumps(cli._tagged(spec, "noise", "weights")))) == spec
 
 
 def test_spec_from_dict_rejects_unknown_type():

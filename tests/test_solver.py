@@ -117,8 +117,11 @@ def test_pgd_terminates_at_fixed_point():
 
 @pytest.mark.parametrize("continuation", [Continuation(), Continuation(enabled=True)],
                          ids=["plain", "rc"])
-def test_factored_terminates_at_fixed_point(continuation):
-    # a warm start seeds the factor pair, so a start at the optimum stays there
+@pytest.mark.parametrize("start", ["optimum", "corner", "rank1"])
+def test_factored_warm_start_reaches_the_optimum(continuation, start):
+    # a warm start seeds the factor pair, so a start at the optimum stays
+    # there; the alternating updates never move a zero direction, so the
+    # columns a rank-deficient start leaves free must start nonzero
     spec = problems.SyntheticSpec(
         60, 60, 3, noise=problems.AdditiveGaussian(0.1), mask_fraction=0.5, seed=3
     )
@@ -127,11 +130,25 @@ def test_factored_terminates_at_fixed_point(continuation):
     stop = Stopping(1e-8, 0.0, 2000)
     star = pgd_solve(p, SolverConfig(stop=stop))
     assert star.converged
-    again = prograamme_solve(p, SolverConfig(r=10, stop=stop, continuation=continuation),
-                             X0=star.X, seed=1)
-    assert again.converged
-    assert again.iterations <= 3
-    assert np.linalg.norm(again.X - star.X) <= 1e-8 * max(np.linalg.norm(star.X), 1.0)
+    U, s, Vt = np.linalg.svd(star.X)
+    X0 = {"optimum": star.X, "corner": np.diag([10.0] + [0.0] * 59),
+          "rank1": s[0] * np.outer(U[:, 0], Vt[0])}[start]
+    trace = prograamme_solve(p, SolverConfig(r=10, stop=stop, continuation=continuation),
+                             X0=X0, seed=1)
+    assert trace.converged
+    if start == "optimum":
+        assert trace.iterations <= 3
+    assert np.linalg.norm(trace.X - star.X) <= 1e-8 * max(np.linalg.norm(star.X), 1.0)
+
+
+def test_factored_zero_start_is_the_cold_start():
+    p, _ = small_completion_problem()
+    cfg = SolverConfig(r=10, stop=Stopping(1e-8, 0.0, 2000))
+    cold = prograamme_solve(p, cfg, seed=1)
+    zero = prograamme_solve(p, cfg, X0=np.zeros((30, 30)), seed=1)
+    assert ([(rec.k, rec.step_norm, rec.rank_x) for rec in zero.records]
+            == [(rec.k, rec.step_norm, rec.rank_x) for rec in cold.records])
+    np.testing.assert_array_equal(zero.X, cold.X)
 
 
 def test_solver_agreement_small():
