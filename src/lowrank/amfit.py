@@ -7,12 +7,19 @@ value thresholding of Z at level mu, so this loop replaces the SVT step
 of proximal gradient descent without computing an SVD.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionError
 from .linalg import as_matrix, spd_solve
+
+
+def check_count(name, value):
+    """Refuse a count that is not an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
 
 
 @dataclass
@@ -48,8 +55,7 @@ class FixedI:
     passes: int = 1
 
     def __post_init__(self):
-        if not self.passes >= 1:
-            raise ValueError(f"passes must be >= 1, got {self.passes}")
+        check_count("passes", self.passes)
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,7 @@ class Tolerance:
     def __post_init__(self):
         if not self.eps >= 0.0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if not self.max_inner >= 1:
-            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        check_count("max_inner", self.max_inner)
 
 
 @dataclass(frozen=True)
@@ -79,10 +84,8 @@ class IncreasingI:
     every: int = 50
 
     def __post_init__(self):
-        if not (self.start >= 1 and self.every >= 1):
-            raise ValueError(
-                f"start and every must be >= 1, got {self.start} and {self.every}"
-            )
+        check_count("start", self.start)
+        check_count("every", self.every)
 
     def resolve(self, k):
         return FixedI(self.start + max(k - 1, 0) // self.every)

@@ -161,7 +161,7 @@ def build_solver_config(cfg, algorithm):
         gamma=cfg.get("gamma"),
         rule=rule,
         inner=_parse(_INNER, cfg, "inner", {"type": "fixed", "passes": 1}),
-        r=int(cfg.get("r", 10)),
+        r=cfg.get("r", 10),
         continuation=Continuation(enabled=algorithm == "prograamme-rc"),
         stop=Stopping(**cfg.get("stop", {})),
         trace_level=cfg.get("trace_level", "light"),
@@ -178,6 +178,8 @@ def resolve_tau(cfg, noise_norm):
         raise LowRankError("config is missing the required 'tau' field")
     tau = cfg["tau"]
     if not isinstance(tau, str):
+        if not 0.0 < tau < np.inf:
+            raise LowRankError(f"tau must be positive and finite, got {tau!r}")
         return float(tau)
     if tau not in _TAU_PRESETS:
         raise LowRankError(f"unknown tau preset {tau!r}")

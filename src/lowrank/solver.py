@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import amfit, operators, prox
-from .amfit import FactorPair, FixedI, IncreasingI
+from .amfit import FactorPair, FixedI, IncreasingI, check_count
 from .exceptions import DimensionError, DivergenceError, NonFiniteError
 from .linalg import DEFAULT_RANK_TOL, as_matrix
 
@@ -30,10 +30,6 @@ _CADENCE = 3
 #: Relative prox-gradient residual above which an exit with a binding
 #: budget is not certified.
 _EXIT_RESIDUAL_TOL = 1e-6
-
-#: Least start of a warm pair's column, relative to X0: nonzero, so that it
-#: can grow, and far below DEFAULT_RANK_TOL, so that it is not in the rank.
-_WARM_FILL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +123,8 @@ class Stopping:
 
     step_tol acts on the absolute step |X_k+1 - X_k|; rel_step_tol, when
     positive, additionally stops on the step relative to max(|X_k|, 1).
-    Both are nonnegative (0 turns a rule off), and max_iter is at least 1.
+    Both are nonnegative (0 turns a rule off), and max_iter is an integer
+    of at least 1.
     """
 
     step_tol: float = 1e-10
@@ -138,8 +135,7 @@ class Stopping:
         for name in ("step_tol", "rel_step_tol"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_count("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.gamma is not None and not 0.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not self.r >= 1:
-            raise ValueError(f"factor rank must be >= 1, got {self.r}")
+        check_count("r", self.r)
         if self.trace_level not in ("light", "full"):
             raise ValueError(f"trace_level must be 'light' or 'full', got {self.trace_level!r}")
 
@@ -282,16 +277,6 @@ def _sketched_rank(X, U, V, rel_tol, hint, rng):
 # ---------------------------------------------------------------------------
 # solvers
 
-def _check_start(p, X0):
-    shape = p.domain_shape
-    if X0 is None:
-        return np.zeros(shape)
-    X0 = as_matrix(X0, "X0")
-    if X0.shape != shape:
-        raise DimensionError(f"X0 shape {X0.shape} != domain {shape}")
-    return X0.copy()
-
-
 def _diverged(step, X_new):
     """Whether X_new has a non-finite entry, given step = |X_new - X| with X finite.
 
@@ -308,52 +293,31 @@ def _prox_residual(p, X, gamma):
     return float(np.linalg.norm(R)) / (gamma * max(float(np.linalg.norm(X)), 1.0))
 
 
-def _warm_pair(X, Z, mu, r, rng):
-    """Width-r factor pair that starts the inner solve at a nonzero X.
-
-    The k directions of X that count in its rank, found over a random
-    sketch of its range, keep their singular values: with k = rank X <= r
-    this is X, so a start at the optimum is a fixed point. The alternating
-    updates never move a zero direction, so the other r - k columns come
-    from the first prox residual outside the range of X, by _grow_factors
-    with a fill of _WARM_FILL times the top singular value of X.
-    """
-    Q = np.linalg.qr(X @ rng.standard_normal((X.shape[1], r)))[0]
-    P, s, Wt = np.linalg.svd(Q.T @ X, full_matrices=False)
-    k = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
-    Qx, root = Q @ P[:, :k], np.sqrt(s[:k])
-    pair = FactorPair(Qx * root, root[:, None] * Wt[:k])
-    if k == r:
-        return pair
-    R = as_matrix(Z, "Z") - pair.product()
-    return _grow_factors(R - Qx @ (Qx.T @ R), mu, pair, r - k, rng, _WARM_FILL * s[0])
-
-
-def _grow_factors(R, mu, pair, b, rng, fill=None):
+def _grow_factors(R, mu, pair, b, rng):
     """Append the SVT of the top b directions of the prox residual R to the factors.
 
     Two block power steps find the top of R = Z - UV; every singular value
     s_i > mu of that part adds the column Q P_i sqrt(s_i - mu) to U and the
     row sqrt(s_i - mu) Wt_i to V. With UV the rank-r part of SVT(Z, mu),
-    these are its missing terms. Returns None when no s_i exceeds mu. With
-    a fill, every direction is added, at s_i - mu or fill if that is larger.
+    these are its missing terms. Returns None when no s_i exceeds mu.
     """
     Q = np.linalg.qr(R @ rng.standard_normal((R.shape[1], b)))[0]
     for _ in range(2):
         Q = np.linalg.qr(R @ (R.T @ Q))[0]
     P, s, Wt = np.linalg.svd(Q.T @ R, full_matrices=False)
-    keep = s > mu if fill is None else s >= 0.0
+    keep = s > mu
     if not keep.any():
         return None
-    root = np.sqrt(np.maximum(s[keep] - mu, fill or 0.0))
+    root = np.sqrt(s[keep] - mu)
     return FactorPair(np.hstack([pair.U, (Q @ P[:, keep]) * root]),
                       np.vstack([pair.V, root[:, None] * Wt[keep]]))
 
 
-def prograamme_solve(p, cfg, X0=None, seed=0):
+def prograamme_solve(p, cfg, *, seed=0):
     """SVD-free proximal gradient with alternating-minimization inner loop.
 
-    Iterates the inertial extrapolation, a gradient step on the weighted
+    Starts at X = 0 with a random factor pair drawn from seed, then
+    iterates the inertial extrapolation, a gradient step on the weighted
     loss, and the factored inner solve whose product replaces the SVT
     step. The rank of X comes from _sketched_rank, sized by the previous
     record's rank, and from the exact _factored_rank whenever the sketch
@@ -375,10 +339,6 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
     Args:
         p: Problem instance.
         cfg: SolverConfig; cfg.r is the factor rank budget, rc's cap.
-        X0: Starting iterate, zero matrix by default. A nonzero X0 also
-            starts the factor pair (_warm_pair): at X0 itself when its rank
-            is at most r, otherwise at its projection on a random rank-r
-            range, with any free columns taken from the first prox residual.
         seed: Seed for the start and restart factor generator.
 
     Returns:
@@ -390,24 +350,25 @@ def prograamme_solve(p, cfg, X0=None, seed=0):
         DivergenceError: the gradient step, the inner solve or the iterate
             became non-finite; its trace holds the finite records before.
     """
-    return _solve(p, cfg, X0, seed, exact=False)
+    return _solve(p, cfg, seed, exact=False)
 
 
-def pgd_solve(p, cfg, X0=None, seed=0):
+def pgd_solve(p, cfg, *, seed=0):
     """SVD-based inertial proximal gradient descent baseline.
 
-    Runs the outer loop of prograamme_solve with the proximal step computed
-    exactly by singular value thresholding. With rule Zero this is plain
-    PGD; with a FistaLike rule it is the FISTA baseline. The budget r is
-    min(m, n) and never binds, grows or is cut: cfg.r, cfg.inner and
-    cfg.continuation are ignored, and seed only labels the trace.
+    Runs the outer loop of prograamme_solve, from X = 0, with the proximal
+    step computed exactly by singular value thresholding. With rule Zero
+    this is plain PGD; with a FistaLike rule it is the FISTA baseline. The
+    budget r is min(m, n) and never binds, grows or is cut: cfg.r,
+    cfg.inner and cfg.continuation are ignored, and seed only labels the
+    trace.
     """
-    return _solve(p, cfg, X0, seed, exact=True)
+    return _solve(p, cfg, seed, exact=True)
 
 
-def _solve(p, cfg, X0, seed, exact):
-    """The proximal-gradient loop of both solvers; exact picks the SVT prox step."""
-    X = _check_start(p, X0)
+def _solve(p, cfg, seed, exact):
+    """The proximal-gradient loop of both solvers from X = 0; exact picks the SVT prox step."""
+    X = np.zeros(p.domain_shape)
     m, n = X.shape
     L = operators.lipschitz_bound(p)
     gamma = cfg.gamma if cfg.gamma is not None else 1.0 / L
@@ -424,8 +385,7 @@ def _solve(p, cfg, X0, seed, exact):
         grow_rng = np.random.default_rng(1)
         r_cap = min(cfg.r, m, n)
         r = min(r_cap, _RANK_MARGIN) if adaptive else r_cap
-        # a nonzero start is factored at the first gradient step (_warm_pair)
-        pair = None if np.any(X) else amfit.random_pair(m, n, r, rng)
+        pair = amfit.random_pair(m, n, r, rng)
 
     # Y -> Y - gamma grad f(Y), taken as the operator sees fit
     gradient_step = p.op.gradient_step(p, gamma)
@@ -465,9 +425,7 @@ def _solve(p, cfg, X0, seed, exact):
                 inner_iters = 0
             else:
                 policy = cfg.inner.resolve(k) if isinstance(cfg.inner, IncreasingI) else cfg.inner
-                if pair is None:
-                    pair = _warm_pair(X, Z, mu, r, rng)
-                elif pair.is_zero():
+                if pair.is_zero():
                     # degenerate fixed point of the inner iteration; restart
                     pair = amfit.random_pair(m, n, r, rng)
                 pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)

@@ -171,11 +171,18 @@ def test_increasing_policy_resolution():
 @pytest.mark.parametrize("cls, kwargs", [(FixedI, {"passes": 0}),
                                          (Tolerance, {"max_inner": 0}),
                                          (IncreasingI, {"start": 0}),
-                                         (IncreasingI, {"every": 0})],
-                         ids=["passes", "max_inner", "start", "every"])
+                                         (IncreasingI, {"every": 0}),
+                                         (FixedI, {"passes": 2.5}),
+                                         (FixedI, {"passes": True}),
+                                         (Tolerance, {"max_inner": float("inf")}),
+                                         (IncreasingI, {"start": 1.5}),
+                                         (IncreasingI, {"every": True})],
+                         ids=["passes", "max_inner", "start", "every", "passes-fraction",
+                              "passes-bool", "max_inner-inf", "start-fraction", "every-bool"])
 def test_policies_reject_empty_budgets(cls, kwargs):
     # FixedI(0) would run no pass yet report a binding budget; every=0
-    # divides by zero when the solver resolves the policy
+    # divides by zero when the solver resolves the policy; a fraction, a
+    # bool or inf is no count of passes
     with pytest.raises(ValueError, match=">= 1"):
         cls(**kwargs)
 

@@ -112,13 +112,22 @@ def test_generate_with_exact_mask_count_exits_2(tmp_path):
     assert "exact_mask_count" in result.output
 
 
-# a present rule or inner policy must name its type, and a number must be
-# finite (json reads 1e999 as inf); each exits 2 and names its field
-@pytest.mark.parametrize("field, text", [("gamma", '"gamma": 1e999'),
-                                         ("rule", '"rule": {}'),
-                                         ("rule", '"rule": null'),
-                                         ("inner", '"inner": null')],
-                         ids=["gamma-inf", "rule-empty", "rule-null", "inner-null"])
+# a present rule or inner policy must name its type, a number must be
+# finite (json reads 1e999 as inf) and a count an integer >= 1; each exits 2
+# and names its field
+@pytest.mark.parametrize("field, text", [
+    ("gamma", '"gamma": 1e999'),
+    ("rule", '"rule": {}'),
+    ("rule", '"rule": null'),
+    ("inner", '"inner": null'),
+    ("r", '"r": 1e999'),
+    ("r", '"r": 2.5'),
+    ("r", '"r": true'),
+    ("max_iter", '"stop": {"max_iter": 2.5}'),
+    ("max_iter", '"stop": {"max_iter": 1e999}'),
+    ("passes", '"inner": {"type": "fixed", "passes": 2.5}'),
+], ids=["gamma-inf", "rule-empty", "rule-null", "inner-null", "r-inf", "r-fraction",
+        "r-bool", "max-iter-fraction", "max-iter-inf", "passes-fraction"])
 def test_config_field_with_a_bad_value_exits_2(tmp_path, problem_dir, field, text):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(CONFIG)[:-1] + ", " + text + "}")

@@ -1,12 +1,8 @@
-import json
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from lowrank import cli, problems
-from lowrank.exceptions import (DegenerateProblemError, DimensionError,
-                                InvalidSpecError, LowRankError)
+from lowrank import problems
+from lowrank.exceptions import DegenerateProblemError, DimensionError, InvalidSpecError
 from lowrank.operators import DenseSensing, Identity
 from lowrank.problems import (AdditiveGaussian, AllOnes, GaussianScaled,
                               LargeOnSupport, SparseLarge, SyntheticSpec,
@@ -28,56 +24,6 @@ def test_spec_validation():
         SyntheticSpec(10, 10, 2, mask_fraction=0.5, sensing_dim=20)
     with pytest.raises(InvalidSpecError):
         SyntheticSpec(10, 10, 2, weights=UniformInt(5, 2))
-
-
-def test_spec_json_roundtrip():
-    spec = SyntheticSpec(
-        20, 15, 3, noise=SparseLarge(-50, 50, 0.1),
-        weights=LargeOnSupport(0.2, 5.0, 10.0), mask_fraction=0.7, seed=9,
-    )
-    assert cli.parse_spec(cli._tagged(spec, "noise", "weights")) == spec
-
-
-_fractions = st.floats(0.01, 0.99)
-_reals = st.floats(-1e6, 1e6, allow_nan=False)
-
-
-@st.composite
-def specs(draw):
-    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
-    noise = draw(st.one_of(
-        st.builds(GaussianScaled, _reals, st.none() | _fractions),
-        st.builds(SparseLarge, _reals, _reals, _fractions),
-        st.builds(AdditiveGaussian, _reals),
-    ))
-    w_min = draw(st.integers(0, 20))
-    weights = draw(st.one_of(
-        st.just(AllOnes()),
-        st.builds(UniformInt, st.just(w_min), st.integers(w_min, 40)),
-        st.builds(LargeOnSupport, _fractions, st.just(float(w_min)),
-                  st.floats(w_min, 40.0)),
-    ))
-    kind = draw(st.sampled_from(["identity", "mask", "sensing"]))
-    return SyntheticSpec(
-        m, n, draw(st.integers(1, min(m, n) - 1)), noise=noise, weights=weights,
-        mask_fraction=draw(st.floats(0.01, 1.0)) if kind == "mask" else None,
-        sensing_dim=draw(st.integers(1, 200)) if kind == "sensing" else None,
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(specs())
-def test_spec_survives_json(spec):
-    assert cli.parse_spec(json.loads(json.dumps(cli._tagged(spec, "noise", "weights")))) == spec
-
-
-def test_spec_from_dict_rejects_unknown_type():
-    # an absent noise field takes the default; a present one must name a type
-    for noise in ({"type": "Cauchy"}, {}, None, "AdditiveGaussian"):
-        with pytest.raises(LowRankError, match="noise must be an object whose type is one of"):
-            cli.parse_spec({"m": 5, "n": 5, "rank": 1, "noise": noise})
-    assert cli.parse_spec({"m": 5, "n": 5, "rank": 1}).noise == AdditiveGaussian()
 
 
 def test_generator_is_deterministic():
