@@ -124,10 +124,16 @@ def test_solver_agreement_small():
     assert prog.converged and pgd.converged
     dist = np.linalg.norm(prog.X - pgd.X) / max(np.linalg.norm(pgd.X), 1.0)
     assert dist <= 1e-6
-    # pgd's X is a fixed point of the prox-gradient map
-    g = pgd.gamma
-    R = pgd.X - svt(pgd.X - g * operators.gradient(p, pgd.X), g * p.tau)
-    assert np.linalg.norm(R) / (g * max(np.linalg.norm(pgd.X), 1.0)) <= 1e-9
+
+
+def test_pgd_terminates_at_fixed_point():
+    p, _ = small_completion_problem()
+    star = pgd_solve(p, SolverConfig(stop=Stopping(1e-10, 0.0, 2000)))
+    assert star.converged
+    # one more prox-gradient step from pgd's X leaves it where it is
+    g = star.gamma
+    R = star.X - svt(star.X - g * operators.gradient(p, star.X), g * p.tau)
+    assert np.linalg.norm(R) / (g * max(np.linalg.norm(star.X), 1.0)) <= 1e-9
 
 
 @pytest.mark.parametrize("rule", [Online(), Constant(0.5)], ids=repr)
