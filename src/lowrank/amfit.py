@@ -75,9 +75,7 @@ class Tolerance:
 class IncreasingI:
     """Fixed passes that grow by one every `every` outer iterations.
 
-    Only the outer solver resolves it: at outer iteration k it runs
-    start + (k - 1) // every passes. inner_solve itself raises TypeError
-    for this policy.
+    At outer iteration k, inner_solve runs start + (k - 1) // every passes.
     """
 
     start: int = 1
@@ -86,9 +84,6 @@ class IncreasingI:
     def __post_init__(self):
         check_count("start", self.start)
         check_count("every", self.every)
-
-    def resolve(self, k):
-        return FixedI(self.start + max(k - 1, 0) // self.every)
 
 
 def random_pair(m, n, r, rng):
@@ -103,40 +98,39 @@ def random_pair(m, n, r, rng):
     )
 
 
-def update_U(Z, V, mu):
-    """Exact minimizer over U with V fixed: Z V^T (V V^T + mu I)^-1.
+def _ridge(Z, U, mu):
+    """Ridge regression of Z on U: (U^T U + mu I)^-1 U^T Z.
 
-    Z and V are taken as validated float64 matrices (inner_solve checks Z,
+    Z and U are taken as validated float64 matrices (inner_solve checks Z,
     FactorPair the factors); spd_solve still rejects a non-finite Gram or
     right-hand side, so an overflow inside a pass raises NonFiniteError.
     """
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    G = V @ V.T
-    G.flat[::G.shape[0] + 1] += mu  # the diagonal, in place
-    return spd_solve(G, V @ Z.T).T
-
-
-def update_V(Z, U, mu):
-    """Exact minimizer over V with U fixed: (U^T U + mu I)^-1 U^T Z.
-
-    Takes validated operands, as update_U does.
-    """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
     G = U.T @ U
-    G.flat[::G.shape[0] + 1] += mu
+    G.flat[::G.shape[0] + 1] += mu  # the diagonal, in place
     return spd_solve(G, U.T @ Z)
 
 
-def inner_solve(Z, mu, start, policy):
+def update_U(Z, V, mu):
+    """Exact minimizer over U with V fixed: Z V^T (V V^T + mu I)^-1."""
+    return _ridge(Z.T, V.T, mu).T
+
+
+def update_V(Z, U, mu):
+    """Exact minimizer over V with U fixed: (U^T U + mu I)^-1 U^T Z."""
+    return _ridge(Z, U, mu)
+
+
+def inner_solve(Z, mu, start, policy, k=1):
     """Run the alternating inner loop on target Z.
 
     Args:
         Z: Target matrix of the proximal subproblem.
         mu: Regularization weight tau * gamma of the outer step; must be > 0.
         start: Warm-start FactorPair with shapes consistent with Z.
-        policy: FixedI or Tolerance stopping policy.
+        policy: FixedI, Tolerance or IncreasingI stopping policy.
+        k: Outer iteration index, read by IncreasingI only.
 
     Returns:
         Tuple (FactorPair, passes_run).
@@ -147,6 +141,8 @@ def inner_solve(Z, mu, start, policy):
         raise DimensionError(
             f"factor shapes {U.shape} x {V.shape} incompatible with Z {Z.shape}"
         )
+    if isinstance(policy, IncreasingI):
+        policy = FixedI(policy.start + (k - 1) // policy.every)
     if isinstance(policy, FixedI):
         for _ in range(policy.passes):
             U = update_U(Z, V, mu)

@@ -18,9 +18,6 @@ from .exceptions import DefinitenessError, DimensionError, NonFiniteError, Numer
 #: Default relative tolerance for numerical rank decisions.
 DEFAULT_RANK_TOL = 1e-8
 
-#: Rows by which spectral_norm grows its Lanczos basis.
-_LANCZOS_BLOCK = 128
-
 #: Largest diagonal block that _tril_inverse hands to LAPACK's inv whole.
 #: At r=200 with 400 right-hand sides, 64 (leaves of 50 rows) beat 32 and 100.
 _INV_LEAF = 64
@@ -187,7 +184,9 @@ def spectral_norm(A, rel_tol=1e-10, max_iter=10000):
     n = G.shape[0]
     steps = min(max_iter, n)
     q = np.random.default_rng(0).standard_normal(n)
-    Q = np.empty((min(steps, _LANCZOS_BLOCK), n))
+    # at most min(m, n)^2 entries, no more than A has; rows Lanczos never
+    # reaches are never touched
+    Q = np.empty((steps, n))
     Q[0] = q / np.linalg.norm(q)
     alpha, beta = [], []
     for j in range(steps):
@@ -210,8 +209,6 @@ def spectral_norm(A, rel_tol=1e-10, max_iter=10000):
             if beta[-1] == 0.0:
                 break  # an invariant Krylov space inside the null space of G
         if j + 1 < steps:
-            if j + 1 == len(Q):
-                Q = np.concatenate([Q, np.empty((min(_LANCZOS_BLOCK, steps - len(Q)), n))])
             Q[j + 1] = w / beta[-1]
     raise NumericalError(
         f"Lanczos did not converge in {len(alpha)} steps "

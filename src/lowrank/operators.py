@@ -9,9 +9,9 @@ set: a 0/1 mask is part of the weights, not of the operator.
 Each operator carries its own maps on operands already validated:
 `apply(X)`, `adjoint(R)` and `operator_norm`, and `gradient_step(p, gamma)`,
 the map Y -> Y - gamma grad f(Y) that the solvers take once per iteration.
-The module functions `apply` and `adjoint` validate the operand and then
-call the operator's method; `gradient` validates X and forms the loss
-gradient from the operator's `apply` and `adjoint`.
+The module function `apply` validates the operand and then calls the
+operator's method; `gradient` forms the loss gradient through it and the
+operator's `adjoint`.
 """
 
 import functools
@@ -140,16 +140,6 @@ def apply(op, X):
     return op.apply(X)
 
 
-def adjoint(op, R):
-    """Apply the adjoint of the observation operator to a codomain matrix."""
-    R = as_matrix(R, "R")
-    if R.shape != tuple(op.codomain_shape):
-        raise DimensionError(
-            f"operand shape {R.shape} does not match codomain {op.codomain_shape}"
-        )
-    return op.adjoint(R)
-
-
 @dataclass(frozen=True)
 class Problem:
     """One weighted low-rank recovery instance.
@@ -199,17 +189,12 @@ def loss(p, X):
 def gradient(p, X):
     """Gradient of the smooth loss at X: op*((op(X) - F) . W_tilde).
 
-    X is scanned once for non-finite entries. The residual is weighted in
-    place, so the identity makes two passes into one new array. Dense
-    sensing's gradient step calls this function; Identity's does not, so for
+    X is validated once, by apply. The residual is weighted in place, so
+    the identity makes two passes into one new array. Dense sensing's
+    gradient step calls this function; Identity's does not, so for
     completion it serves the exit certificate, the tests and outside callers.
     """
-    X = as_matrix(X, "X")
-    if X.shape != p.domain_shape:
-        raise DimensionError(
-            f"operand shape {X.shape} does not match domain {p.domain_shape}"
-        )
-    R = p.op.apply(X) - p.F
+    R = apply(p.op, X) - p.F
     R *= p.W_tilde
     return p.op.adjoint(R)
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import amfit, operators, prox
-from .amfit import FactorPair, FixedI, IncreasingI, check_count
-from .exceptions import DimensionError, DivergenceError, NonFiniteError
-from .linalg import DEFAULT_RANK_TOL, as_matrix
+from .amfit import FactorPair, FixedI, check_count
+from .exceptions import DivergenceError, NonFiniteError
+from .linalg import DEFAULT_RANK_TOL
 
 #: Columns rc keeps above the rank of X, so that rank_x < r shows the
 #: budget is not binding; also rc's starting budget.
@@ -207,15 +207,11 @@ def truncate_factors(U, V, new_r):
     Thin QR of U and of V^T reduce the problem to an SVD of the small
     r x r core; the singular weight is split evenly between the factors.
     """
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    r = U.shape[1]
-    if V.shape[0] != r:
-        raise DimensionError(f"inner dimensions differ: {U.shape} x {V.shape}")
-    if not 1 <= new_r <= r:
-        raise ValueError(f"new_r={new_r} lies outside [1, r] for the factor rank r={r}")
-    Qu, Ru = np.linalg.qr(U)
-    Qv, Rv = np.linalg.qr(V.T)
+    pair = FactorPair(U, V)
+    if not 1 <= new_r <= pair.r:
+        raise ValueError(f"new_r={new_r} lies outside [1, r] for the factor rank r={pair.r}")
+    Qu, Ru = np.linalg.qr(pair.U)
+    Qv, Rv = np.linalg.qr(pair.V.T)
     P, s, Qt = np.linalg.svd(Ru @ Rv.T)
     root = np.sqrt(s[:new_r])
     U_new = Qu @ (P[:, :new_r] * root)
@@ -424,11 +420,10 @@ def _solve(p, cfg, seed, exact):
                 X_new, rank_x = prox.svt_with_rank(Z, mu)
                 inner_iters = 0
             else:
-                policy = cfg.inner.resolve(k) if isinstance(cfg.inner, IncreasingI) else cfg.inner
                 if pair.is_zero():
                     # degenerate fixed point of the inner iteration; restart
                     pair = amfit.random_pair(m, n, r, rng)
-                pair, inner_iters = amfit.inner_solve(Z, mu, pair, policy)
+                pair, inner_iters = amfit.inner_solve(Z, mu, pair, cfg.inner, k)
                 X_new = pair.product()
         except NonFiniteError as exc:
             # with Z finite, an overflow inside the alternating passes

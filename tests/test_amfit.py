@@ -158,14 +158,9 @@ def test_rank_bounded_by_budget():
 
 def test_increasing_policy_resolution():
     pol = IncreasingI(start=1, every=50)
-    assert pol.resolve(1) == FixedI(1)
-    assert pol.resolve(50) == FixedI(1)
-    assert pol.resolve(51) == FixedI(2)
-    assert pol.resolve(101) == FixedI(3)
-    # only the solver resolves it
-    with pytest.raises(TypeError):
-        inner_solve(np.ones((4, 4)), 0.5, random_pair(4, 4, 2, np.random.default_rng(13)),
-                    pol)
+    start = random_pair(4, 4, 2, np.random.default_rng(13))
+    for k, passes in ((1, 1), (50, 1), (51, 2), (101, 3)):
+        assert inner_solve(np.ones((4, 4)), 0.5, start, pol, k)[1] == passes
 
 
 @pytest.mark.parametrize("cls, kwargs", [(FixedI, {"passes": 0}),

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from lowrank import operators
 from lowrank.exceptions import DegenerateProblemError, DimensionError
 from lowrank.operators import (DenseSensing, Identity, Problem,
-                               adjoint, apply, gradient, lipschitz_bound,
+                               apply, gradient, lipschitz_bound,
                                loss, objective, unvec, vec)
 
 
@@ -59,14 +59,14 @@ def test_apply_shape_check():
 
 
 def test_adjoint_inner_product_identity():
-    # <op(X), R> == <X, adjoint(op, R)> for every variant
+    # <op(X), R> == <X, op.adjoint(R)> for every variant
     rng = np.random.default_rng(1)
     for op, mask in random_ops(rng):
         for _ in range(50):
             X = rng.standard_normal(op.domain_shape)
             R = rng.standard_normal(op.codomain_shape) * mask
             lhs = float(np.sum(apply(op, X) * R))
-            rhs = float(np.sum(X * adjoint(op, R)))
+            rhs = float(np.sum(X * op.adjoint(R)))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
@@ -93,7 +93,7 @@ def test_gradient_matches_adjoint_apply_form(instance, masked):
     op, mask = make_op("mask" if masked else "identity", rng, m, n, 0)
     p = Problem(op, wide(rng, (m, n)) * mask, weights_with_zeros(rng, (m, n)) * mask, 1.0)
     X = wide(rng, (m, n))
-    textbook = adjoint(op, (apply(op, X) - p.F) * p.W_tilde)
+    textbook = op.adjoint((apply(op, X) - p.F) * p.W_tilde)
     assert np.array_equal(gradient(p, X), textbook)
 
 
@@ -106,7 +106,7 @@ def test_adjointness_property(instance, d, kind):
     X = wide(rng, op.domain_shape)
     R = wide(rng, op.codomain_shape) * mask
     lhs = float(np.sum(apply(op, X) * R))
-    rhs = float(np.sum(X * adjoint(op, R)))
+    rhs = float(np.sum(X * op.adjoint(R)))
     # relative to the Cauchy-Schwarz bound |<A X, R>| <= |A| |X| |R|
     a_norm = np.linalg.norm(op.S) if kind == "sensing" else 1.0
     assert abs(lhs - rhs) <= 1e-12 * a_norm * np.linalg.norm(X) * np.linalg.norm(R)
@@ -230,7 +230,7 @@ def test_lipschitz_sampled_inequality(instance, kind, spread, tight):
     X = rng.standard_normal(op.domain_shape)
     Y = rng.standard_normal(op.domain_shape)
     if tight:
-        H = np.column_stack([vec(adjoint(op, p.W_tilde * apply(op, unvec(e, (m, n)))))
+        H = np.column_stack([vec(op.adjoint(p.W_tilde * apply(op, unvec(e, (m, n)))))
                              for e in np.eye(m * n)])
         Y = X + unvec(np.linalg.eigh(H)[1][:, -1], (m, n))
     lhs = np.linalg.norm(gradient(p, X) - gradient(p, Y))

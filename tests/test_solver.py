@@ -578,7 +578,7 @@ def test_overflowing_product_of_finite_factors_raises(monkeypatch):
     # not finite either, and that alone must lead to the check of X
     p, _ = small_completion_problem()
 
-    def overflowing(Z, mu, start, policy):
+    def overflowing(Z, mu, start, policy, k=1):
         return FactorPair(np.full(start.U.shape, 1e200), np.full(start.V.shape, 1e200)), 1
 
     monkeypatch.setattr(amfit, "inner_solve", overflowing)
@@ -590,7 +590,7 @@ def test_overflowing_product_of_finite_factors_raises(monkeypatch):
 
 
 def textbook_gradient(p, X):
-    return operators.adjoint(p.op, (operators.apply(p.op, X) - p.F) * p.W_tilde)
+    return p.op.adjoint((operators.apply(p.op, X) - p.F) * p.W_tilde)
 
 
 def test_gradient_step_leaves_solves_bit_identical(monkeypatch):
