@@ -16,10 +16,10 @@ from .exceptions import DimensionError
 from .linalg import as_matrix, spd_solve
 
 
-def check_count(name, value):
-    """Refuse a count that is not an integer >= 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+def check_count(name, value, low=1, error=ValueError):
+    """Raise error unless value is an integer >= low; a bool is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
 @dataclass

@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__, problems
-from .amfit import FixedI, IncreasingI, Tolerance
+from .amfit import FixedI, IncreasingI, Tolerance, check_count
 from .exceptions import DimensionError, DivergenceError, LowRankError
 from .linalg import as_matrix
 from .operators import DenseSensing, Identity, Problem
@@ -65,12 +65,28 @@ def _exit_codes():
 
 
 def _read_json(path):
-    """Load a JSON file that must hold an object."""
+    """Load a JSON file that must hold an object with no boolean in it.
+
+    No field of a spec, config, suite or manifest is a boolean, and Python
+    reads true as the number 1, so a boolean anywhere is refused here.
+    """
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise LowRankError(f"{path} does not hold a JSON object")
+    _refuse_booleans(obj, None)
     return obj
+
+
+def _refuse_booleans(value, key):
+    if isinstance(value, bool):
+        raise LowRankError(f"{key} must be a number, got {json.dumps(value)}")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _refuse_booleans(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            _refuse_booleans(v, key)
 
 
 def _write_json(path, obj):
@@ -178,7 +194,7 @@ def resolve_tau(cfg, noise_norm):
         raise LowRankError("config is missing the required 'tau' field")
     tau = cfg["tau"]
     if not isinstance(tau, str):
-        if not 0.0 < tau < np.inf:
+        if isinstance(tau, bool) or not 0.0 < tau < np.inf:
             raise LowRankError(f"tau must be positive and finite, got {tau!r}")
         return float(tau)
     if tau not in _TAU_PRESETS:
@@ -187,8 +203,10 @@ def resolve_tau(cfg, noise_norm):
 
 
 def resolve_seed(file_seed, cli_seed):
-    """Seed precedence: the command-line flag, then the file."""
-    return int(file_seed if cli_seed is None else cli_seed)
+    """Seed precedence: the command-line flag, then the file; an integer >= 0."""
+    seed = file_seed if cli_seed is None else cli_seed
+    check_count("seed", seed, 0, LowRankError)
+    return int(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .amfit import check_count
 from .exceptions import DimensionError, InvalidSpecError
 from .linalg import as_matrix
 from .operators import DenseSensing, Identity, Problem
@@ -74,7 +75,8 @@ class SyntheticSpec:
     mask_fraction observes a random set of entries (matrix completion): the
     weights, and F, are zero off it. sensing_dim switches on a dense
     Gaussian sensing operator of that many measurements. At most one of the
-    two may be set.
+    two may be set. m, n, rank, a set sensing_dim and seed are integers
+    (never bools), seed >= 0 and the others >= 1.
     """
 
     m: int
@@ -87,10 +89,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InvalidSpecError(f"dimensions must be positive, got {self.m}x{self.n}")
-        if not 1 <= self.rank:
-            raise InvalidSpecError(f"rank must be >= 1, got {self.rank}")
+        for name, low in (("m", 1), ("n", 1), ("rank", 1), ("sensing_dim", 1), ("seed", 0)):
+            if name != "sensing_dim" or self.sensing_dim is not None:
+                check_count(name, getattr(self, name), low, InvalidSpecError)
         if self.rank >= min(self.m, self.n):
             raise InvalidSpecError(
                 f"rank {self.rank} must be < min(m, n) = {min(self.m, self.n)}"
@@ -99,8 +100,6 @@ class SyntheticSpec:
             raise InvalidSpecError(f"mask fraction must lie in (0, 1], got {self.mask_fraction}")
         if self.mask_fraction is not None and self.sensing_dim is not None:
             raise InvalidSpecError("mask and dense sensing are mutually exclusive")
-        if self.sensing_dim is not None and self.sensing_dim < 1:
-            raise InvalidSpecError(f"sensing_dim must be >= 1, got {self.sensing_dim}")
         for frac in (getattr(self.noise, "sparsity", None),
                      getattr(self.weights, "fraction", None)):
             if frac is not None and not 0.0 < frac < 1.0:

@@ -92,9 +92,9 @@ def inertial_value(rule, k, step_norm_prev=0.0):
     if isinstance(rule, FistaLike):
         return (k - 1.0) / (k + rule.d)
     if isinstance(rule, Online):
-        if step_norm_prev == 0.0:
-            return rule.a
-        return min(rule.a, rule.c / (k ** (1.0 + rule.delta) * step_norm_prev**2))
+        denom = k ** (1.0 + rule.delta) * step_norm_prev**2
+        # a zero step, or one whose square underflows, leaves the cap infinite
+        return rule.a if denom == 0.0 else min(rule.a, rule.c / denom)
     raise TypeError(f"unknown inertial rule {rule!r}")
 
 
@@ -389,7 +389,8 @@ def _solve(p, cfg, seed, exact):
     step_prev = 0.0
     records = []
     notes = []
-    if isinstance(cfg.rule, FistaLike) and gamma * L >= 1.0:
+    # the default gamma = 1/L meets the bound exactly, whatever the rounding of gamma * L
+    if isinstance(cfg.rule, FistaLike) and gamma >= 1.0 / L:
         notes.append("step size meets or exceeds the classical FISTA bound 1/L; "
                      "convergence is empirical only")
     held = 0

@@ -159,13 +159,15 @@ def test_problem_dir_with_a_mask_exits_2(tmp_path, runner):
 
 
 def test_generate_invalid_spec_exits_2(tmp_path, runner):
-    bad = dict(SPEC, rank=30)
-    spec_file = tmp_path / "spec.json"
-    write_json(spec_file, bad)
-    result = runner.invoke(cli.main, ["generate", "--spec", str(spec_file),
-                                      "--out", str(tmp_path / "p")])
-    assert result.exit_code == cli.EXIT_VALIDATION
-    assert "error" in result.output
+    # int() used to truncate a seed of 2.5 and generate the seed-2 instance
+    for bad in (dict(SPEC, rank=30), dict(SPEC, seed=2.5)):
+        spec_file = tmp_path / "spec.json"
+        write_json(spec_file, bad)
+        result = runner.invoke(cli.main, ["generate", "--spec", str(spec_file),
+                                          "--out", str(tmp_path / "p")])
+        assert result.exit_code == cli.EXIT_VALIDATION
+        assert "error" in result.output
+        assert not (tmp_path / "p").exists()
 
 
 def test_solve_writes_trace_and_summary(tmp_path, runner):
@@ -323,6 +325,9 @@ def test_resolve_tau_presets():
     assert cli.resolve_tau({"tau": 2.5}, 3.0) == 2.5
     assert cli.resolve_tau({"tau": "noise_norm"}, 3.0) == 3.0
     assert cli.resolve_tau({"tau": "2*noise_norm"}, 3.0) == 6.0
+    # a bool is no number, though Python reads True as 1
+    with pytest.raises(LowRankError, match="tau must be"):
+        cli.resolve_tau({"tau": True}, 3.0)
     with pytest.raises(Exception):
         cli.resolve_tau({"tau": "bogus"}, 3.0)
     with pytest.raises(Exception):
@@ -409,18 +414,19 @@ def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(BENCH_CONFIG, R=10), "not read by the solver: R"),
-    ({key: value for key, value in BENCH_CONFIG.items() if key != "tau"},
+    ({"config": dict(BENCH_CONFIG, R=10)}, "not read by the solver: R"),
+    ({"config": {key: value for key, value in BENCH_CONFIG.items() if key != "tau"}},
      "missing the required 'tau'"),
-    (dict(BENCH_CONFIG, tau="3*noise_norm"), "unknown tau preset"),
-    (dict(BENCH_CONFIG, tau=-1), "tau must be positive and finite"),
-    (dict(BENCH_CONFIG, tau=1e999), "tau must be positive and finite"),
-], ids=["unread-key", "no-tau", "unknown-preset", "tau-negative", "tau-inf"])
+    ({"config": dict(BENCH_CONFIG, tau="3*noise_norm")}, "unknown tau preset"),
+    ({"config": dict(BENCH_CONFIG, tau=-1)}, "tau must be positive and finite"),
+    ({"config": dict(BENCH_CONFIG, tau=1e999)}, "tau must be positive and finite"),
+    ({"config": dict(BENCH_CONFIG, tau=True)}, "tau must be a number, got true"),
+    ({"spec": dict(SPEC, seed=2.5)}, "seed must be >= 0 and an integer"),
+], ids=["unread-key", "no-tau", "unknown-preset", "tau-negative", "tau-inf", "tau-bool",
+        "spec-seed-fraction"])
 def test_bench_validates_every_run_before_the_first_solve(tmp_path, runner, bad, message):
-    suite = {"seed": 0, "runs": [
-        {"name": "good", "algorithm": "pgd", "spec": SPEC, "config": BENCH_CONFIG},
-        {"name": "bad", "algorithm": "pgd", "spec": SPEC, "config": bad},
-    ]}
+    run = {"name": "good", "algorithm": "pgd", "spec": SPEC, "config": BENCH_CONFIG}
+    suite = {"seed": 0, "runs": [run, dict(run, name="bad", **bad)]}
     suite_file = tmp_path / "suite.json"
     write_json(suite_file, suite)
     out = tmp_path / "bench"

@@ -126,8 +126,12 @@ def test_generate_with_exact_mask_count_exits_2(tmp_path):
     ("max_iter", '"stop": {"max_iter": 2.5}'),
     ("max_iter", '"stop": {"max_iter": 1e999}'),
     ("passes", '"inner": {"type": "fixed", "passes": 2.5}'),
+    ("tau", '"tau": true'),
+    ("gamma", '"gamma": true'),
+    ("step_tol", '"stop": {"step_tol": true}'),
 ], ids=["gamma-inf", "rule-empty", "rule-null", "inner-null", "r-inf", "r-fraction",
-        "r-bool", "max-iter-fraction", "max-iter-inf", "passes-fraction"])
+        "r-bool", "max-iter-fraction", "max-iter-inf", "passes-fraction", "tau-bool",
+        "gamma-bool", "step-tol-bool"])
 def test_config_field_with_a_bad_value_exits_2(tmp_path, problem_dir, field, text):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(CONFIG)[:-1] + ", " + text + "}")

@@ -24,6 +24,11 @@ def test_spec_validation():
         SyntheticSpec(10, 10, 2, mask_fraction=0.5, sensing_dim=20)
     with pytest.raises(InvalidSpecError):
         SyntheticSpec(10, 10, 2, weights=UniformInt(5, 2))
+    # a fraction or a bool used to fail only inside generate_full
+    for field, value in (("m", 12.5), ("rank", True), ("sensing_dim", 30.5), ("seed", 2.5),
+                         ("seed", True)):
+        with pytest.raises(InvalidSpecError, match=f"{field} must be >= [01] and an integer"):
+            SyntheticSpec(**dict({"m": 12, "n": 10, "rank": 2}, **{field: value}))
 
 
 def test_generator_is_deterministic():

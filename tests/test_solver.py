@@ -73,6 +73,9 @@ def test_inertial_online_cap():
     # large previous step forces the summability cap below a
     assert inertial_value(rule, 10, 10.0) == pytest.approx(1.0 / (100.0 * 100.0))
     assert inertial_value(rule, 2, 1e-8) == 0.5
+    # a step whose square underflows caps nothing, as a zero step does
+    assert inertial_value(Online(), 5, 1e-170) == 0.5
+    assert inertial_value(Online(0.3, c=float("inf")), 5, 1e-170) == 0.3
 
 
 def test_inertial_validation():
@@ -800,6 +803,11 @@ def test_fista_stepsize_note():
     p, _ = small_completion_problem()
     cfg = SolverConfig(rule=FistaLike(20.0), stop=Stopping(1e-8, 0.0, 1000))
     trace = pgd_solve(p, cfg)
+    assert any("FISTA" in note for note in trace.notes)
+    # at weight 7, L = 49 and gamma * L rounds to 1 - 2^-53, yet gamma is 1/L
+    p7 = Problem(p.op, p.F, 7.0 * p.W, p.tau)
+    trace = pgd_solve(p7, SolverConfig(rule=FistaLike(20.0), stop=Stopping(1e-8, 0.0, 5)))
+    assert trace.gamma * trace.lipschitz < 1.0
     assert any("FISTA" in note for note in trace.notes)
 
 
