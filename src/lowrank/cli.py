@@ -44,7 +44,7 @@ _WEIGHTS = {c.__name__: c for c in (problems.AllOnes, problems.UniformInt,
                                     problems.LargeOnSupport)}
 _TAU_PRESETS = {"noise_norm": 1.0, "2*noise_norm": 2.0}
 #: The top-level config keys a run reads; any other key is refused.
-_CONFIG_KEYS = {"tau", "gamma", "r", "rule", "inner", "stop", "trace_level"}
+_CONFIG_KEYS = {"tau", "gamma", "r", "rule", "inner", "stop"}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,6 @@ def build_solver_config(cfg, algorithm):
         r=cfg.get("r", 10),
         continuation=Continuation(enabled=algorithm == "prograamme-rc"),
         stop=Stopping(**cfg.get("stop", {})),
-        trace_level=cfg.get("trace_level", "light"),
     )
 
 

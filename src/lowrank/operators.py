@@ -217,8 +217,8 @@ def lipschitz_bound(p):
 def objective(p, X):
     """Full objective: weighted loss plus tau times the nuclear norm.
 
-    Needs an SVD of X; used for traces and tests only, never inside the
-    SVD-free iteration.
+    Needs an SVD of X, so no solver calls it; evaluate it on a finished
+    SolveTrace's X, as objective(p, trace.X).
     """
     _, s, _ = linalg.thin_svd(X)
     return loss(p, X) + p.tau * float(np.sum(s))

@@ -142,10 +142,8 @@ class Stopping:
 class SolverConfig:
     """Bundle of all solver parameters.
 
-    gamma defaults to 1/L when None. trace_level "full" also records the
-    objective each iteration (needs an SVD); "light" skips it to keep the
-    SVD-free path honest in timing benchmarks. r is the factor rank
-    budget; with continuation enabled it is the cap of an adaptive budget.
+    gamma defaults to 1/L when None. r is the factor rank budget; with
+    continuation enabled it is the cap of an adaptive budget.
     """
 
     gamma: float = None
@@ -154,21 +152,17 @@ class SolverConfig:
     r: int = 10
     continuation: Continuation = field(default_factory=Continuation)
     stop: Stopping = field(default_factory=Stopping)
-    trace_level: str = "light"
 
     def __post_init__(self):
         if self.gamma is not None and not 0.0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         check_count("r", self.r)
-        if self.trace_level not in ("light", "full"):
-            raise ValueError(f"trace_level must be 'light' or 'full', got {self.trace_level!r}")
 
 
 @dataclass
 class TraceRecord:
     k: int
     elapsed_s: float
-    objective: float
     step_norm: float
     rank_x: int
     r: int
@@ -177,18 +171,25 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration records and the final state of one solver run."""
+    """Per-iteration records and the final state of one solver run.
+
+    seconds and each record's elapsed_s time the solver call from its first
+    line, set-up included.
+    """
 
     records: list
     X: np.ndarray
     converged: bool
-    iterations: int
     seconds: float
     seed: int = None
     gamma: float = None
     lipschitz: float = None
     notes: tuple = ()
     exit_residual: float = None
+
+    @property
+    def iterations(self):
+        return len(self.records)
 
     @property
     def final_rank(self):
@@ -338,9 +339,9 @@ def prograamme_solve(p, cfg, *, seed=0):
         seed: Seed for the start and restart factor generator.
 
     Returns:
-        SolveTrace. Elapsed times cover the whole iteration, including the
-        rank read, the budget moves and the exit certificate. Only the
-        opt-in "full" trace objective is excluded.
+        SolveTrace. Elapsed times run from the first line of the call, so
+        they cover the set-up and every step of each iteration, the rank
+        read, the budget moves and the exit certificate included.
 
     Raises:
         DivergenceError: the gradient step, the inner solve or the iterate
@@ -364,6 +365,7 @@ def pgd_solve(p, cfg, *, seed=0):
 
 def _solve(p, cfg, seed, exact):
     """The proximal-gradient loop of both solvers from X = 0; exact picks the SVT prox step."""
+    start = time.perf_counter()
     X = np.zeros(p.domain_shape)
     m, n = X.shape
     L = operators.lipschitz_bound(p)
@@ -395,19 +397,15 @@ def _solve(p, cfg, seed, exact):
                      "convergence is empirical only")
     held = 0
     residual = None
-    elapsed = 0.0
     converged = False
 
     def divergence(what):
         """DivergenceError for `what` in iteration k, with the finite records before it."""
-        trace = SolveTrace(records, X, False, k - 1, elapsed + time.perf_counter() - t0,
-                           seed, gamma, L)
+        trace = SolveTrace(records, X, False, time.perf_counter() - start, seed, gamma, L)
         return DivergenceError(f"{what} became non-finite at iteration {k} "
                                f"(gamma={gamma:.3e}, L={L:.3e})", trace=trace)
 
-    k = 0
     for k in range(1, cfg.stop.max_iter + 1):
-        t0 = time.perf_counter()
         a = inertial_value(cfg.rule, k, step_prev)
         # both prox steps validate Z on entry, so Z is read for non-finite
         # entries only when one of them refuses a non-finite matrix; a
@@ -474,10 +472,8 @@ def _solve(p, cfg, seed, exact):
                 f"{residual:.2e} > {_EXIT_RESIDUAL_TOL:.0e}, so X is not the "
                 "optimum; a larger r is needed"
             )
-        elapsed += time.perf_counter() - t0
-
-        obj = operators.objective(p, X_new) if cfg.trace_level == "full" else float("nan")
-        records.append(TraceRecord(k, elapsed, obj, step, rank_x, r, inner_iters))
+        records.append(TraceRecord(k, time.perf_counter() - start, step, rank_x, r,
+                                   inner_iters))
 
         X_prev, X, step_prev = X, X_new, step
         if stop:
@@ -485,5 +481,5 @@ def _solve(p, cfg, seed, exact):
             converged = not uncertified
             break
 
-    return SolveTrace(records, X, converged, k, elapsed, seed, gamma, L,
+    return SolveTrace(records, X, converged, time.perf_counter() - start, seed, gamma, L,
                       notes=tuple(notes), exit_residual=residual)

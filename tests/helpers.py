@@ -1,14 +1,18 @@
 """Helpers shared by the tests: a weight-conditioning sweep, a weighted
-fidelity metric and the objective of the alternating inner solve."""
+fidelity metric, the objective of the alternating inner solve and the
+objective path of a solve."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
-from lowrank import linalg
+from lowrank import linalg, operators, prox
+from lowrank.amfit import FactorPair
 from lowrank.exceptions import DimensionError, InvalidSpecError
 from lowrank.linalg import as_matrix
 from lowrank.problems import UniformInt, generate_full
+from lowrank.solver import pgd_solve
 
 
 def fidelity(F, X, W, inside=True):
@@ -66,3 +70,29 @@ def inner_objective(Z, U, V, mu):
     return 0.5 * float(np.sum(R * R)) + 0.5 * mu * float(
         np.sum(U * U) + np.sum(V * V)
     )
+
+
+def objective_path(solve, p, cfg, **kwargs):
+    """Run solve(p, cfg, **kwargs); return the trace and P(X_k) of each record.
+
+    The objective needs an SVD of every iterate, so the solvers do not
+    record it. This wraps the seam each solver looks up through its module
+    to form the iterate, prox.svt_with_rank for pgd_solve and
+    FactorPair.product for prograamme_solve, and evaluates
+    operators.objective on every X it returns. Only that seam is wrapped:
+    the factored solver's exit certificate also runs an SVT.
+    """
+    values = []
+    exact = solve is pgd_solve
+    owner, name = (prox, "svt_with_rank") if exact else (FactorPair, "product")
+    inner = getattr(owner, name)
+
+    def wrapped(*args):
+        out = inner(*args)
+        values.append(operators.objective(p, out[0] if exact else out))
+        return out
+
+    with mock.patch.object(owner, name, wrapped):
+        trace = solve(p, cfg, **kwargs)
+    assert len(values) == len(trace.records)
+    return trace, values

@@ -22,7 +22,7 @@ from lowrank.prox import svt_with_rank
 from lowrank.solver import (_RANK_MARGIN, Continuation, SolverConfig, Stopping,
                             pgd_solve, prograamme_solve)
 
-from helpers import condition_number_sweep
+from helpers import condition_number_sweep, objective_path
 
 
 def _report(name, detail):
@@ -46,15 +46,14 @@ def completion50():
     p = gen.problem(gen.noise_norm)
     stop = Stopping(step_tol=1e-10, max_iter=5000)
     t0 = time.perf_counter()
-    prog = prograamme_solve(
-        p,
-        SolverConfig(r=10, inner=Tolerance(1e-10, 500), stop=stop,
-                     trace_level="full"),
+    prog, prog_obj = objective_path(
+        prograamme_solve, p, SolverConfig(r=10, inner=Tolerance(1e-10, 500), stop=stop),
         seed=1,
     )
-    pgd = pgd_solve(p, SolverConfig(stop=stop, trace_level="full"))
+    pgd, pgd_obj = objective_path(pgd_solve, p, SolverConfig(stop=stop))
     wall = time.perf_counter() - t0
-    return {"problem": p, "gen": gen, "prog": prog, "pgd": pgd, "wall": wall}
+    return {"problem": p, "gen": gen, "prog": prog, "pgd": pgd, "wall": wall,
+            "prog_obj": prog_obj, "pgd_obj": pgd_obj}
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +68,9 @@ def sensing100():
     prog = prograamme_solve(
         p, SolverConfig(r=20, inner=FixedI(1), stop=stop), seed=1
     )
-    pgd = pgd_solve(p, SolverConfig(stop=stop, trace_level="full"))
+    pgd, pgd_obj = objective_path(pgd_solve, p, SolverConfig(stop=stop))
     wall = time.perf_counter() - t0
-    return {"problem": p, "prog": prog, "pgd": pgd, "wall": wall}
+    return {"problem": p, "prog": prog, "pgd": pgd, "wall": wall, "pgd_obj": pgd_obj}
 
 
 @pytest.fixture(scope="module")
@@ -258,21 +257,19 @@ def test_rank_continuation_monotone(timing400):
 def test_objective_descent(timing400, completion50, sensing100):
     worst = 0.0
     checked = 0
-    # the full-trace runs from the shared instances all use rule Zero and
-    # gamma = 1/L; the timing runs keep light traces for honest clocks, so
-    # one extra full-trace run covers the 400x400 instance
+    # the objective paths of the shared instances all come from rule Zero
+    # and gamma = 1/L; the timing runs skip the objective's SVD for honest
+    # clocks, so one extra run covers the 400x400 instance
     spec = SyntheticSpec(400, 400, 10, noise=AdditiveGaussian(0.1),
                          mask_fraction=0.5, seed=11)
     gen = problems.generate_full(spec)
-    big = prograamme_solve(
-        gen.problem(gen.noise_norm),
-        SolverConfig(r=200, inner=Tolerance(1e-8, 50),
-                     stop=Stopping(1e-8, max_iter=3000), trace_level="full"),
+    _, big = objective_path(
+        prograamme_solve, gen.problem(gen.noise_norm),
+        SolverConfig(r=200, inner=Tolerance(1e-8, 50), stop=Stopping(1e-8, max_iter=3000)),
         seed=1,
     )
-    for trace in (completion50["prog"], completion50["pgd"],
-                  sensing100["pgd"], big):
-        obj = trace.column("objective")
+    for obj in (completion50["prog_obj"], completion50["pgd_obj"],
+                sensing100["pgd_obj"], big):
         for prev, cur in zip(obj, obj[1:]):
             rel_increase = (cur - prev) / max(abs(prev), 1.0)
             assert rel_increase <= 1e-12
@@ -354,21 +351,20 @@ def test_weight_conditioning_sweep():
 
 def test_traces_are_reproducible(completion50, sensing100):
     def strip_elapsed(trace):
-        # repr keeps NaN objectives (light traces) comparable
-        return [(rec.k, repr(rec.objective), rec.step_norm, rec.rank_x, rec.r,
-                 rec.inner_iters) for rec in trace.records]
+        return [(rec.k, rec.step_norm, rec.rank_x, rec.r, rec.inner_iters)
+                for rec in trace.records]
 
     spec = SyntheticSpec(50, 50, 3, noise=AdditiveGaussian(0.1),
                          mask_fraction=0.5, seed=1)
     gen = problems.generate_full(spec)
     p = gen.problem(gen.noise_norm)
-    again = prograamme_solve(
-        p,
-        SolverConfig(r=10, inner=Tolerance(1e-10, 500),
-                     stop=Stopping(1e-10, max_iter=5000), trace_level="full"),
+    again, again_obj = objective_path(
+        prograamme_solve, p,
+        SolverConfig(r=10, inner=Tolerance(1e-10, 500), stop=Stopping(1e-10, max_iter=5000)),
         seed=1,
     )
     assert strip_elapsed(again) == strip_elapsed(completion50["prog"])
+    assert again_obj == completion50["prog_obj"]
     np.testing.assert_array_equal(again.X, completion50["prog"].X)
 
     spec2 = SyntheticSpec(100, 100, 4, noise=AdditiveGaussian(0.3),

@@ -118,15 +118,15 @@ def test_trace_csv_roundtrip(tmp_path):
                                   mask_fraction=0.5, seed=1)
     gen = problems.generate_full(spec)
     trace = solver.pgd_solve(gen.problem(gen.noise_norm),
-                             SolverConfig(stop=Stopping(1e-6, 0.0, 50), trace_level="full"))
+                             SolverConfig(stop=Stopping(1e-6, 0.0, 50)))
     path = tmp_path / "trace.csv"
     cli.write_trace_csv(path, trace)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == cli.TRACE_HEADER == ["k", "elapsed_s", "objective", "step_norm",
-                                           "rank_x", "r", "inner_iters"]
+    assert rows[0] == cli.TRACE_HEADER == ["k", "elapsed_s", "step_norm", "rank_x", "r",
+                                           "inner_iters"]
     assert len(rows) == len(trace.records) + 1
-    assert [float(row[3]) for row in rows[1:]] == trace.column("step_norm")
+    assert [float(row[2]) for row in rows[1:]] == trace.column("step_norm")
 
 
 def test_generate_seed_flag_beats_file(tmp_path, runner):
@@ -183,14 +183,13 @@ def test_solve_writes_trace_and_summary(tmp_path, runner):
     assert "converged" in result.output
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "elapsed_s", "objective", "step_norm",
-                       "rank_x", "r", "inner_iters"]
+    assert rows[0] == ["k", "elapsed_s", "step_norm", "rank_x", "r", "inner_iters"]
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["algorithm"] == "prograamme"
     assert summary["converged"] is True
     assert summary["iterations"] == len(rows) - 1
-    assert summary["final_rank"] == int(rows[-1][4])
+    assert summary["final_rank"] == int(rows[-1][3])
     with open(out / "run_manifest.json") as fh:
         rm = json.load(fh)
     assert rm["seed"] == 1

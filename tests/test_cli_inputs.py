@@ -68,8 +68,10 @@ def test_solve_with_no_iteration_budget_exits_2(tmp_path, problem_dir):
 # each run parameter has one setter: --algo picks rc and rule.d sets FISTA's
 # d, so continuation and fista_d are refused; R and a top-level max_iter,
 # misspellings of r and stop.max_iter, would otherwise run on the defaults;
-# a bench run's seed comes from the suite, so its config may hold none
-UNREAD = {"continuation": {"rank_tol": 1.0}, "fista_d": 5.0, "R": 50, "max_iter": 5}
+# trace_level is a retired option; a bench run's seed comes from the suite,
+# so its config may hold none
+UNREAD = {"continuation": {"rank_tol": 1.0}, "fista_d": 5.0, "R": 50, "max_iter": 5,
+          "trace_level": "full"}
 
 
 @pytest.mark.parametrize("command, key, value", [

@@ -14,6 +14,8 @@ from lowrank.solver import (Constant, Continuation, FistaLike, Online,
                             SolverConfig, Stopping, Zero, inertial_value,
                             pgd_solve, prograamme_solve, truncate_factors)
 
+from helpers import objective_path
+
 
 def small_completion_problem(tau_scale=1.0):
     spec = problems.SyntheticSpec(
@@ -162,12 +164,8 @@ def test_increasing_inner_passes_follow_their_schedule():
 
 def test_objective_descent_rule_zero():
     p, _ = small_completion_problem()
-    cfg = SolverConfig(
-        r=10, inner=Tolerance(1e-10, 200), stop=Stopping(1e-8, 0.0, 500),
-        trace_level="full",
-    )
-    trace = prograamme_solve(p, cfg, seed=2)
-    obj = trace.column("objective")
+    cfg = SolverConfig(r=10, inner=Tolerance(1e-10, 200), stop=Stopping(1e-8, 0.0, 500))
+    _, obj = objective_path(prograamme_solve, p, cfg, seed=2)
     for prev, cur in zip(obj, obj[1:]):
         assert cur <= prev * (1 + 1e-12)
 
@@ -192,9 +190,9 @@ def test_pgd_objective_never_increases(m, n, seed, kind, spread, log_tau):
         mask.flat[0] = 1.0
     W = 10.0 ** rng.uniform(0.0, spread, size=op.codomain_shape) * mask
     p = Problem(op, rng.standard_normal(op.codomain_shape) * mask, W, 10.0 ** log_tau)
-    trace = pgd_solve(p, SolverConfig(rule=Zero(), stop=Stopping(1e-12, 0.0, 200),
-                                      trace_level="full"))
-    obj = [operators.objective(p, np.zeros((m, n)))] + trace.column("objective")
+    _, path = objective_path(pgd_solve, p, SolverConfig(rule=Zero(),
+                                                         stop=Stopping(1e-12, 0.0, 200)))
+    obj = [operators.objective(p, np.zeros((m, n)))] + path
     for prev, cur in zip(obj, obj[1:]):
         assert cur <= prev * (1 + 1e-12)
 
@@ -855,8 +853,6 @@ def test_config_validation():
         SolverConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(r=0)
-    with pytest.raises(ValueError):
-        SolverConfig(trace_level="verbose")
     # the rank read uses DEFAULT_RANK_TOL; a loose tolerance made rc read
     # rank 0 and report convergence far from the optimum; rc moves its
     # budget after _CADENCE equal reads
