@@ -313,12 +313,14 @@ def run_bench(suite, out_dir, repeats, seed=None):
     """Run every (spec, config, algorithm) triple `repeats` times.
 
     Each repeat uses a derived seed (suite seed + spec seed + repeat index),
-    so a run's config may hold no seed. Every run's spec, SolverConfig and
-    tau field are checked before the first solve. Diverging runs are
-    recorded in the aggregate rather than aborting the sweep.
+    so a run's config may hold no seed. repeats, and every run's spec,
+    SolverConfig and tau field, are checked before anything is written.
+    Diverging runs are recorded in the aggregate rather than aborting the
+    sweep.
 
     Returns the list of aggregate row dicts.
     """
+    check_count("repeats", repeats, 1, LowRankError)
     base_seed = resolve_seed(suite.get("seed", 0), seed)
     runs = []
     for entry in suite["runs"]:

@@ -6,6 +6,7 @@ numpy's default PCG64 generator seeded from the spec, making every
 generated instance reproducible across platforms.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,33 +18,69 @@ from .operators import DenseSensing, Identity, Problem
 
 
 # ---------------------------------------------------------------------------
-# spec variants
+# spec variants; each refuses its own bad fields, naming the field
+
+def _check_finite(variant, *names, low=None):
+    for name in names:
+        value = getattr(variant, name)
+        if not math.isfinite(value) or (low is not None and value < low):
+            bound = "" if low is None else f" and >= {low}"
+            raise InvalidSpecError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def _check_order(variant, lo, hi):
+    if getattr(variant, lo) > getattr(variant, hi):
+        raise InvalidSpecError(f"{lo} must not exceed {hi}, got "
+                               f"{getattr(variant, lo)!r} > {getattr(variant, hi)!r}")
+
+
+def _check_fraction(name, value):
+    if value is None or not 0.0 < value < 1.0:
+        raise InvalidSpecError(f"{name} must lie in (0, 1), got {value!r}")
+
 
 @dataclass(frozen=True)
 class GaussianScaled:
     """Gaussian noise scaled by eta_factor times the largest ground-truth entry.
 
     With sparsity set, the noise lives on a random support of that fraction.
+    eta_factor is finite and >= 0; a set sparsity lies in (0, 1).
     """
 
     eta_factor: float = 0.2
     sparsity: float = None
 
+    def __post_init__(self):
+        _check_finite(self, "eta_factor", low=0.0)
+        if self.sparsity is not None:
+            _check_fraction("sparsity", self.sparsity)
+
 
 @dataclass(frozen=True)
 class SparseLarge:
-    """Uniform noise from [low, high] on a random support of fraction sparsity."""
+    """Uniform noise from [low, high] on a random support of fraction sparsity.
+
+    low <= high are finite and sparsity lies in (0, 1).
+    """
 
     low: float = -50.0
     high: float = 50.0
     sparsity: float = 0.1
 
+    def __post_init__(self):
+        _check_finite(self, "low", "high")
+        _check_order(self, "low", "high")
+        _check_fraction("sparsity", self.sparsity)
+
 
 @dataclass(frozen=True)
 class AdditiveGaussian:
-    """Dense i.i.d. Gaussian noise with standard deviation sigma."""
+    """Dense i.i.d. Gaussian noise with a finite standard deviation sigma >= 0."""
 
     sigma: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(self, "sigma", low=0.0)
 
 
 @dataclass(frozen=True)
@@ -53,19 +90,35 @@ class AllOnes:
 
 @dataclass(frozen=True)
 class UniformInt:
-    """Integer weights drawn uniformly from [w_min, w_max]."""
+    """Integer weights drawn uniformly from [w_min, w_max].
+
+    Both bounds are integers, w_min >= 0, w_max >= 1 and w_min <= w_max.
+    """
 
     w_min: int = 1
     w_max: int = 10
 
+    def __post_init__(self):
+        check_count("w_min", self.w_min, 0, InvalidSpecError)
+        check_count("w_max", self.w_max, 1, InvalidSpecError)
+        _check_order(self, "w_min", "w_max")
+
 
 @dataclass(frozen=True)
 class LargeOnSupport:
-    """Weights in [w_min, w_max] on a random support of the given fraction, 1 elsewhere."""
+    """Weights in [w_min, w_max] on a random support of the given fraction, 1 elsewhere.
+
+    fraction lies in (0, 1); the bounds are finite, with 0 <= w_min <= w_max.
+    """
 
     fraction: float = 0.1
     w_min: float = 5.0
     w_max: float = 10.0
+
+    def __post_init__(self):
+        _check_fraction("fraction", self.fraction)
+        _check_finite(self, "w_min", "w_max", low=0.0)
+        _check_order(self, "w_min", "w_max")
 
 
 @dataclass(frozen=True)
@@ -100,13 +153,6 @@ class SyntheticSpec:
             raise InvalidSpecError(f"mask fraction must lie in (0, 1], got {self.mask_fraction}")
         if self.mask_fraction is not None and self.sensing_dim is not None:
             raise InvalidSpecError("mask and dense sensing are mutually exclusive")
-        for frac in (getattr(self.noise, "sparsity", None),
-                     getattr(self.weights, "fraction", None)):
-            if frac is not None and not 0.0 < frac < 1.0:
-                raise InvalidSpecError(f"support fraction must lie in (0, 1), got {frac}")
-        wmin = getattr(self.weights, "w_min", None)
-        if wmin is not None and wmin > self.weights.w_max:
-            raise InvalidSpecError("w_min must not exceed w_max")
 
 
 # ---------------------------------------------------------------------------

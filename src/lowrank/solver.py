@@ -92,9 +92,15 @@ def inertial_value(rule, k, step_norm_prev=0.0):
     if isinstance(rule, FistaLike):
         return (k - 1.0) / (k + rule.d)
     if isinstance(rule, Online):
-        denom = k ** (1.0 + rule.delta) * step_norm_prev**2
-        # a zero step, or one whose square underflows, leaves the cap infinite
-        return rule.a if denom == 0.0 else min(rule.a, rule.c / denom)
+        try:
+            denom = k ** (1.0 + rule.delta) * step_norm_prev**2
+        except OverflowError:
+            denom = np.inf
+        # a zero step, or one whose square underflows, leaves the cap
+        # infinite; an overflowing denominator makes it 0 unless c = inf
+        if denom == 0.0 or rule.c == np.inf:
+            return rule.a
+        return min(rule.a, rule.c / denom)
     raise TypeError(f"unknown inertial rule {rule!r}")
 
 

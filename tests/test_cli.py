@@ -159,8 +159,14 @@ def test_problem_dir_with_a_mask_exits_2(tmp_path, runner):
 
 
 def test_generate_invalid_spec_exits_2(tmp_path, runner):
-    # int() used to truncate a seed of 2.5 and generate the seed-2 instance
-    for bad in (dict(SPEC, rank=30), dict(SPEC, seed=2.5)):
+    # int() used to truncate a seed of 2.5 and generate the seed-2 instance; a
+    # NaN w_min ended in numpy's OverflowError and a NaN sigma left an empty
+    # output directory
+    nan = float("nan")
+    for bad in (dict(SPEC, rank=30), dict(SPEC, seed=2.5),
+                dict(SPEC, weights={"type": "LargeOnSupport", "w_min": nan}),
+                dict(SPEC, noise={"type": "AdditiveGaussian", "sigma": nan}),
+                dict(SPEC, weights={"type": "UniformInt", "w_min": 2.5, "w_max": 10})):
         spec_file = tmp_path / "spec.json"
         write_json(spec_file, bad)
         result = runner.invoke(cli.main, ["generate", "--spec", str(spec_file),
@@ -389,6 +395,21 @@ def test_bench_single_repeat_stats_collapse(tmp_path, runner):
     assert row["min_wall_s"] == row["max_wall_s"] == row["mean_wall_s"]
 
 
+def test_bench_repeats_below_1_exits_2(tmp_path, runner):
+    # --repeats 0 used to exit 0 with an all-NaN row that read all_converged
+    suite = {"seed": 0, "runs": [{"name": "one", "algorithm": "pgd",
+                                  "spec": SPEC, "config": BENCH_CONFIG}]}
+    suite_file = tmp_path / "suite.json"
+    write_json(suite_file, suite)
+    out = tmp_path / "bench"
+    result = runner.invoke(cli.main, [
+        "bench", "--suite", str(suite_file), "--out", str(out), "--repeats", "0",
+    ])
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert "repeats must be >= 1 and an integer, got 0" in result.output
+    assert not out.exists()
+
+
 def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
     # a step far above 1/L makes pgd diverge; the sweep goes on and keeps the trace
     config = dict(BENCH_CONFIG, gamma=50.0, stop={"step_tol": 0.0, "max_iter": 5000})
@@ -421,8 +442,10 @@ def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
     ({"config": dict(BENCH_CONFIG, tau=1e999)}, "tau must be positive and finite"),
     ({"config": dict(BENCH_CONFIG, tau=True)}, "tau must be a number, got true"),
     ({"spec": dict(SPEC, seed=2.5)}, "seed must be >= 0 and an integer"),
+    ({"spec": dict(SPEC, weights={"type": "UniformInt", "w_min": -5, "w_max": 10})},
+     "w_min must be >= 0 and an integer"),
 ], ids=["unread-key", "no-tau", "unknown-preset", "tau-negative", "tau-inf", "tau-bool",
-        "spec-seed-fraction"])
+        "spec-seed-fraction", "spec-weights-negative"])
 def test_bench_validates_every_run_before_the_first_solve(tmp_path, runner, bad, message):
     run = {"name": "good", "algorithm": "pgd", "spec": SPEC, "config": BENCH_CONFIG}
     suite = {"seed": 0, "runs": [run, dict(run, name="bad", **bad)]}
@@ -454,20 +477,23 @@ def test_parse_spec_json_roundtrip():
 
 _fractions = st.floats(0.01, 0.99)
 _reals = st.floats(-1e6, 1e6, allow_nan=False)
+_scales = st.floats(0.0, 1e6)
 
 
 @st.composite
 def specs(draw):
+    # valid specs only: each variant refuses its own bad fields
     m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    low, high = sorted(draw(st.tuples(_reals, _reals)))
     noise = draw(st.one_of(
-        st.builds(GaussianScaled, _reals, st.none() | _fractions),
-        st.builds(SparseLarge, _reals, _reals, _fractions),
-        st.builds(AdditiveGaussian, _reals),
+        st.builds(GaussianScaled, _scales, st.none() | _fractions),
+        st.builds(SparseLarge, st.just(low), st.just(high), _fractions),
+        st.builds(AdditiveGaussian, _scales),
     ))
     w_min = draw(st.integers(0, 20))
     weights = draw(st.one_of(
         st.just(AllOnes()),
-        st.builds(UniformInt, st.just(w_min), st.integers(w_min, 40)),
+        st.builds(UniformInt, st.just(w_min), st.integers(max(w_min, 1), 40)),
         st.builds(LargeOnSupport, _fractions, st.just(float(w_min)),
                   st.floats(w_min, 40.0)),
     ))

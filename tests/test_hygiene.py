@@ -1,10 +1,14 @@
-"""Static checks on the source: no unused import, and file formats only in the CLI.
+"""Checks on the source: no unused import, file formats only in the CLI, and no scipy.
 
-Both read the syntax tree with the standard library's ast module, so they
-need no linter. perfbench/ is not scanned.
+The first two read the syntax tree with the standard library's ast module,
+so they need no linter; perfbench/ is not scanned. The third runs two
+solves in a fresh interpreter.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +67,39 @@ def test_only_the_cli_reads_and_writes_files():
              for line, what in _file_io(_tree(path))]
     assert not found, "file I/O outside cli.py:\n" + "\n".join(found)
     assert list(_file_io(_tree(ROOT / "src" / "lowrank" / "cli.py")))
+
+
+# the tests import scipy themselves, so the solves run in a fresh interpreter;
+# a completion and a dense-sensing solve take both operators' gradient steps
+_SCIPY_FREE_SOLVES = """
+import sys
+import lowrank
+import lowrank.cli
+from lowrank import (Continuation, SolverConfig, SyntheticSpec,
+                     generate_full, prograamme_solve)
+from lowrank.problems import AdditiveGaussian
+gen = generate_full(SyntheticSpec(30, 30, 3, noise=AdditiveGaussian(0.1),
+                                  mask_fraction=0.5, seed=1))
+trace = prograamme_solve(gen.problem(gen.noise_norm),
+                         SolverConfig(r=10, continuation=Continuation(enabled=True)))
+assert trace.converged, trace.notes
+sgen = generate_full(SyntheticSpec(10, 10, 2, noise=AdditiveGaussian(0.1),
+                                   sensing_dim=80, seed=1))
+strace = prograamme_solve(sgen.problem(2.0 * sgen.noise_norm),
+                          SolverConfig(r=10, continuation=Continuation(enabled=True)))
+assert strace.converged, strace.notes
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"lowrank loaded scipy: {loaded[:5]}")
+print(f"rc solves converged in {trace.iterations} (completion) and "
+      f"{strace.iterations} (dense sensing) iterations; no scipy module loaded")
+"""
+
+
+def test_solvers_stay_off_scipy():
+    # scipy's second OpenBLAS starves numpy's threads (see src/lowrank/linalg.py)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SOLVES], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "no scipy module loaded" in run.stdout

@@ -29,6 +29,34 @@ def test_spec_validation():
                          ("seed", True)):
         with pytest.raises(InvalidSpecError, match=f"{field} must be >= [01] and an integer"):
             SyntheticSpec(**dict({"m": 12, "n": 10, "rank": 2}, **{field: value}))
+    # each variant checks its own fields; a negative or fractional bound, a
+    # NaN w_min and a NaN sigma used to fail only inside generate_full, or
+    # not at all
+    nan, inf = float("nan"), float("inf")
+    for make, message in (
+            (lambda: UniformInt(-5, 10), "w_min must be >= 0 and an integer"),
+            (lambda: UniformInt(2.5, 10), "w_min must be >= 0 and an integer"),
+            (lambda: UniformInt(0, 0), "w_max must be >= 1 and an integer"),
+            (lambda: UniformInt(1, 10.0), "w_max must be >= 1 and an integer"),
+            (lambda: LargeOnSupport(0.1, nan, 10.0), "w_min must be finite and >= 0"),
+            (lambda: LargeOnSupport(0.1, -1.0, 10.0), "w_min must be finite and >= 0"),
+            (lambda: LargeOnSupport(0.1, 5.0, inf), "w_max must be finite"),
+            (lambda: LargeOnSupport(0.1, 5.0, 4.0), "w_min must not exceed w_max"),
+            (lambda: LargeOnSupport(1.0), "fraction must lie in"),
+            (lambda: AdditiveGaussian(nan), "sigma must be finite and >= 0"),
+            (lambda: AdditiveGaussian(-0.1), "sigma must be finite and >= 0"),
+            (lambda: GaussianScaled(inf), "eta_factor must be finite and >= 0"),
+            (lambda: GaussianScaled(-1.0), "eta_factor must be finite and >= 0"),
+            (lambda: GaussianScaled(0.2, 0.0), "sparsity must lie in"),
+            (lambda: SparseLarge(5.0, 1.0), "low must not exceed high"),
+            (lambda: SparseLarge(-inf, 1.0), "low must be finite"),
+            (lambda: SparseLarge(0.0, nan), "high must be finite"),
+            (lambda: SparseLarge(sparsity=1.0), "sparsity must lie in")):
+        with pytest.raises(InvalidSpecError, match=message):
+            make()
+    # every bound at the edge of its range is accepted
+    UniformInt(0, 1), UniformInt(3, 3), LargeOnSupport(0.5, 0.0, 0.0)
+    AdditiveGaussian(0.0), GaussianScaled(0.0), SparseLarge(2.0, 2.0, 0.5)
 
 
 def test_generator_is_deterministic():

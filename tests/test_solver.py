@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,11 @@ def test_inertial_online_cap():
     # a step whose square underflows caps nothing, as a zero step does
     assert inertial_value(Online(), 5, 1e-170) == 0.5
     assert inertial_value(Online(0.3, c=float("inf")), 5, 1e-170) == 0.3
+    # an overflowing denominator caps the inertia at 0, unless c = inf; both
+    # used to raise OverflowError from a float power
+    assert inertial_value(Online(0.5, 1.0, 400.0), 10, 1.0) == 0.0
+    assert inertial_value(Online(), 10, 1e200) == 0.0
+    assert inertial_value(Online(0.3, c=float("inf")), 10, 1e200) == 0.3
 
 
 def test_inertial_validation():
@@ -545,6 +551,39 @@ def test_divergent_step_raises():
             solve(p, cfg)
         trace = exc_info.value.trace
         assert trace is not None and len(trace.records) == trace.iterations > 0
+
+
+def test_set_up_is_on_the_clock(monkeypatch):
+    # each solve is timed from its first line: a Lipschitz bound made 50 ms
+    # slow shows in the first elapsed_s and in seconds
+    p, _ = small_completion_problem()
+    bound = operators.lipschitz_bound
+
+    def slow_bound(p):
+        time.sleep(0.05)
+        return bound(p)
+
+    monkeypatch.setattr(operators, "lipschitz_bound", slow_bound)
+    for solve in (pgd_solve, prograamme_solve):
+        trace = solve(p, SolverConfig(r=6, stop=Stopping(1e-8, 0.0, 500)))
+        assert trace.converged
+        assert trace.records[0].elapsed_s >= 0.05 and trace.seconds >= 0.05
+
+
+def test_iterations_count_the_records():
+    # converged, at the iteration cap and diverged alike, the clock never
+    # runs backwards and seconds covers the last record
+    p, _ = small_completion_problem()
+    converged = prograamme_solve(p, SolverConfig(r=10, stop=Stopping(1e-8, 0.0, 2000)))
+    capped = pgd_solve(p, SolverConfig(stop=Stopping(0.0, 0.0, 7)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc_info:
+        pgd_solve(p, SolverConfig(gamma=50.0, stop=Stopping(0.0, 0.0, 5000)))
+    diverged = exc_info.value.trace
+    assert converged.converged and not capped.converged and capped.iterations == 7
+    for trace in (converged, capped, diverged):
+        assert trace.iterations == len(trace.records) > 0
+        elapsed = trace.column("elapsed_s")
+        assert elapsed == sorted(elapsed) and trace.seconds >= elapsed[-1]
 
 
 def small_sensing_problem():
