@@ -212,13 +212,17 @@ def resolve_seed(file_seed, cli_seed):
 # problem directory format: one <name>.csv per array, shapes in manifest.json
 
 def write_problem_dir(gen, out_dir):
-    """Write the CSV artifacts plus a manifest for one generated problem."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write the CSV artifacts plus a manifest for one generated problem.
+
+    Every array is checked before the directory is created.
+    """
     arrays = {"F": gen.F, "W": gen.W, "ground_truth": gen.ground_truth,
               "noise": gen.noise}
     if isinstance(gen.op, DenseSensing):
         arrays["sensing"] = gen.op.S
+    arrays = {name: as_matrix(A, name) for name, A in arrays.items()}
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, A in arrays.items():
         write_matrix_csv(out / f"{name}.csv", A)
     manifest = {
@@ -314,7 +318,8 @@ def run_bench(suite, out_dir, repeats, seed=None):
 
     Each repeat uses a derived seed (suite seed + spec seed + repeat index),
     so a run's config may hold no seed. repeats, and every run's spec,
-    SolverConfig and tau field, are checked before anything is written.
+    SolverConfig and tau field, are checked, and every run's repeat 0 is
+    generated and posed, before anything is written.
     Diverging runs are recorded in the aggregate rather than aborting the
     sweep.
 
@@ -325,10 +330,13 @@ def run_bench(suite, out_dir, repeats, seed=None):
     runs = []
     for entry in suite["runs"]:
         config = entry["config"]
-        # checks the key and the preset name; the noise norm comes per repeat
-        resolve_tau(config, 0.0)
-        runs.append((entry["name"], entry["algorithm"], parse_spec(entry["spec"]),
-                     config, build_solver_config(config, entry["algorithm"])))
+        spec = parse_spec(entry["spec"])
+        cfg = build_solver_config(config, entry["algorithm"])
+        # repeat 0 is generated and posed here, so a run that cannot be
+        # generated, or whose tau or F the Problem refuses, writes nothing
+        gen = problems.generate_full(dataclasses.replace(spec, seed=base_seed + spec.seed))
+        gen.problem(resolve_tau(config, gen.noise_norm))
+        runs.append((entry["name"], entry["algorithm"], spec, config, cfg))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

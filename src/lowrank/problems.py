@@ -92,7 +92,8 @@ class AllOnes:
 class UniformInt:
     """Integer weights drawn uniformly from [w_min, w_max].
 
-    Both bounds are integers, w_min >= 0, w_max >= 1 and w_min <= w_max.
+    Both bounds are integers, w_min >= 0, w_max >= 1 and w_min <= w_max;
+    the draw's exclusive bound w_max + 1 must fit int64.
     """
 
     w_min: int = 1
@@ -102,6 +103,9 @@ class UniformInt:
         check_count("w_min", self.w_min, 0, InvalidSpecError)
         check_count("w_max", self.w_max, 1, InvalidSpecError)
         _check_order(self, "w_min", "w_max")
+        if self.w_max >= np.iinfo(np.int64).max:
+            raise InvalidSpecError("w_max must be below 2**63 - 1, so that the draw "
+                                   f"bound w_max + 1 fits int64, got {self.w_max!r}")
 
 
 @dataclass(frozen=True)

@@ -92,15 +92,12 @@ def inertial_value(rule, k, step_norm_prev=0.0):
     if isinstance(rule, FistaLike):
         return (k - 1.0) / (k + rule.d)
     if isinstance(rule, Online):
-        try:
-            denom = k ** (1.0 + rule.delta) * step_norm_prev**2
-        except OverflowError:
-            denom = np.inf
-        # a zero step, or one whose square underflows, leaves the cap
-        # infinite; an overflowing denominator makes it 0 unless c = inf
-        if denom == 0.0 or rule.c == np.inf:
-            return rule.a
-        return min(rule.a, rule.c / denom)
+        # in float64 an overflowing denominator gives a cap of 0, and a zero
+        # or underflowing one an infinite cap; fmin skips the NaN of c = inf
+        # over an infinite denominator
+        with np.errstate(all="ignore"):
+            denom = np.float64(k) ** (1.0 + rule.delta) * np.float64(step_norm_prev) ** 2
+            return float(np.fmin(rule.a, rule.c / denom))
     raise TypeError(f"unknown inertial rule {rule!r}")
 
 

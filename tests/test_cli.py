@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from lowrank.problems import (AdditiveGaussian, AllOnes, GaussianScaled,
                               UniformInt)
 from lowrank.solver import Constant, FistaLike, SolverConfig, Stopping, Zero
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SPEC = {
     "m": 30,
@@ -160,17 +165,21 @@ def test_problem_dir_with_a_mask_exits_2(tmp_path, runner):
 
 def test_generate_invalid_spec_exits_2(tmp_path, runner):
     # int() used to truncate a seed of 2.5 and generate the seed-2 instance; a
-    # NaN w_min ended in numpy's OverflowError and a NaN sigma left an empty
-    # output directory
+    # NaN w_min ended in numpy's OverflowError; a NaN sigma, and a sigma of
+    # 1e308 (F overflows), left an empty output directory; a w_max of 2**70
+    # ended in numpy's int64 bound error
     nan = float("nan")
     for bad in (dict(SPEC, rank=30), dict(SPEC, seed=2.5),
                 dict(SPEC, weights={"type": "LargeOnSupport", "w_min": nan}),
                 dict(SPEC, noise={"type": "AdditiveGaussian", "sigma": nan}),
-                dict(SPEC, weights={"type": "UniformInt", "w_min": 2.5, "w_max": 10})):
+                dict(SPEC, noise={"type": "AdditiveGaussian", "sigma": 1e308}),
+                dict(SPEC, weights={"type": "UniformInt", "w_min": 2.5, "w_max": 10}),
+                dict(SPEC, weights={"type": "UniformInt", "w_min": 1, "w_max": 2**70})):
         spec_file = tmp_path / "spec.json"
         write_json(spec_file, bad)
-        result = runner.invoke(cli.main, ["generate", "--spec", str(spec_file),
-                                          "--out", str(tmp_path / "p")])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(cli.main, ["generate", "--spec", str(spec_file),
+                                              "--out", str(tmp_path / "p")])
         assert result.exit_code == cli.EXIT_VALIDATION
         assert "error" in result.output
         assert not (tmp_path / "p").exists()
@@ -270,6 +279,53 @@ def test_solve_fista_echoes_rule(tmp_path, runner):
     # the config echo holds the rule's type and d, and so its formula
     assert summary["config"]["rule"] == {"type": "FistaLike", "d": 20.0}
     assert "inertial_rule" not in summary
+
+
+def test_solve_weighted_completion_converges(tmp_path, runner):
+    # integer weights in [1, 10]: L = max W**2 = 100, so gamma = 1/100 in the
+    # fused gradient step
+    spec = dict(SPEC, weights={"type": "UniformInt", "w_min": 1, "w_max": 10})
+    prob_dir = make_problem_dir(tmp_path, runner, spec)
+    config_file = tmp_path / "config.json"
+    write_json(config_file, {"tau": 100, "r": 10, "stop": {"step_tol": 1e-8, "max_iter": 5000}})
+    out = tmp_path / "run"
+    result = runner.invoke(cli.main, [
+        "solve", "--problem", str(prob_dir), "--config", str(config_file),
+        "--algo", "prograamme-rc", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["converged"] is True
+    assert summary["gamma"] == 0.01
+
+
+def _run_module(cwd, *args):
+    # a fresh interpreter per command, on the source tree, as an installed
+    # console script would run it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "lowrank.cli", *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_cli_module_runs_in_fresh_interpreters(tmp_path):
+    write_json(tmp_path / "spec.json", SPEC)
+    write_json(tmp_path / "config.json", CONFIG)
+    for out in ("prob", "prob2"):
+        run = _run_module(tmp_path, "generate", "--spec", "spec.json", "--out", out)
+        assert run.returncode == 0, run.stdout + run.stderr
+    # two processes write the same bytes, and the mask lives only in W
+    names = sorted(p.name for p in (tmp_path / "prob").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "prob2").iterdir())
+    assert "mask.csv" not in names and "F.csv" in names
+    for name in names:
+        assert (tmp_path / "prob" / name).read_bytes() == (tmp_path / "prob2" / name).read_bytes()
+    run = _run_module(tmp_path, "solve", "--problem", "prob", "--config", "config.json",
+                      "--algo", "prograamme-rc", "--out", "run")
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["converged"] is True
+    header = (tmp_path / "run" / "trace.csv").read_text().splitlines()[0]
+    assert header == "k,elapsed_s,step_norm,rank_x,r,inner_iters"
 
 
 def test_solve_non_convergence_exits_3(tmp_path, runner):
@@ -444,15 +500,23 @@ def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
     ({"spec": dict(SPEC, seed=2.5)}, "seed must be >= 0 and an integer"),
     ({"spec": dict(SPEC, weights={"type": "UniformInt", "w_min": -5, "w_max": 10})},
      "w_min must be >= 0 and an integer"),
+    # both passed the spec checks and failed in generation, after good/ was written
+    ({"spec": dict(SPEC, weights={"type": "UniformInt", "w_min": 1, "w_max": 2**70})},
+     "w_max must be below 2**63 - 1"),
+    ({"spec": dict(SPEC, noise={"type": "AdditiveGaussian", "sigma": 1e308})},
+     "F contains non-finite entries"),
 ], ids=["unread-key", "no-tau", "unknown-preset", "tau-negative", "tau-inf", "tau-bool",
-        "spec-seed-fraction", "spec-weights-negative"])
+        "spec-seed-fraction", "spec-weights-negative", "spec-weights-int64",
+        "spec-noise-overflow"])
 def test_bench_validates_every_run_before_the_first_solve(tmp_path, runner, bad, message):
     run = {"name": "good", "algorithm": "pgd", "spec": SPEC, "config": BENCH_CONFIG}
     suite = {"seed": 0, "runs": [run, dict(run, name="bad", **bad)]}
     suite_file = tmp_path / "suite.json"
     write_json(suite_file, suite)
     out = tmp_path / "bench"
-    result = runner.invoke(cli.main, ["bench", "--suite", str(suite_file), "--out", str(out)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(cli.main, ["bench", "--suite", str(suite_file),
+                                          "--out", str(out)])
     assert result.exit_code == cli.EXIT_VALIDATION
     assert message in result.output
     assert not (out / "good").exists()

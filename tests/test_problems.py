@@ -38,6 +38,7 @@ def test_spec_validation():
             (lambda: UniformInt(2.5, 10), "w_min must be >= 0 and an integer"),
             (lambda: UniformInt(0, 0), "w_max must be >= 1 and an integer"),
             (lambda: UniformInt(1, 10.0), "w_max must be >= 1 and an integer"),
+            (lambda: UniformInt(1, 2**63 - 1), "w_max must be below 2"),
             (lambda: LargeOnSupport(0.1, nan, 10.0), "w_min must be finite and >= 0"),
             (lambda: LargeOnSupport(0.1, -1.0, 10.0), "w_min must be finite and >= 0"),
             (lambda: LargeOnSupport(0.1, 5.0, inf), "w_max must be finite"),
@@ -55,7 +56,7 @@ def test_spec_validation():
         with pytest.raises(InvalidSpecError, match=message):
             make()
     # every bound at the edge of its range is accepted
-    UniformInt(0, 1), UniformInt(3, 3), LargeOnSupport(0.5, 0.0, 0.0)
+    UniformInt(0, 1), UniformInt(3, 3), UniformInt(1, 2**63 - 2), LargeOnSupport(0.5, 0.0, 0.0)
     AdditiveGaussian(0.0), GaussianScaled(0.0), SparseLarge(2.0, 2.0, 0.5)
 
 

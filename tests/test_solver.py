@@ -1,9 +1,10 @@
 import re
+import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lowrank import amfit, linalg, operators, problems, solver
 from lowrank.amfit import FactorPair, FixedI, IncreasingI, Tolerance
@@ -84,6 +85,36 @@ def test_inertial_online_cap():
     assert inertial_value(Online(0.5, 1.0, 400.0), 10, 1.0) == 0.0
     assert inertial_value(Online(), 10, 1e200) == 0.0
     assert inertial_value(Online(0.3, c=float("inf")), 10, 1e200) == 0.3
+
+
+def _python_float_online(rule, k, step):
+    """Online's a_k in Python float arithmetic, or None where it overflows or underflows."""
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    try:
+        # k >= 1, so the power is at least 1 and only the square can underflow
+        denom = k ** (1.0 + rule.delta) * step**2
+    except OverflowError:
+        return None
+    if (step and not tiny <= step**2) or denom > huge:
+        return None
+    if denom == 0.0 or rule.c == float("inf"):
+        return rule.a
+    cap = rule.c / denom
+    return min(rule.a, cap) if tiny <= cap <= huge else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(1e-300, 1e300) | st.just(float("inf")),
+       st.floats(0.0, 400.0, exclude_min=True), st.integers(1, 10**6),
+       st.just(0.0) | st.floats(1e-200, 1e200))
+def test_inertial_online_matches_python_floats(a, c, delta, k, step):
+    # float64 under errstate gives the bits of the Python float formula
+    # wherever that formula neither overflows nor underflows
+    rule = Online(a, c, delta)
+    want = _python_float_online(rule, k, step)
+    assume(want is not None)
+    got = inertial_value(rule, k, step)
+    assert type(got) is float and got.hex() == want.hex()
 
 
 def test_inertial_validation():
