@@ -20,8 +20,10 @@ from .amfit import FactorPair, FixedI, check_count
 from .exceptions import DivergenceError, NonFiniteError
 from .linalg import DEFAULT_RANK_TOL
 
-#: Columns rc keeps above the rank of X, so that rank_x < r shows the
-#: budget is not binding; also rc's starting budget.
+#: rc's starting budget, and the columns a cut keeps above the rank of X,
+#: so that rank_x < r shows the budget is not binding. A growth adds only the
+#: residual's directions above the threshold and keeps no margin: on the
+#: 400x400 rank-10 completion the budget goes 4 -> 8 -> 10 -> 11.
 _RANK_MARGIN = 4
 
 #: Consecutive equal rank reads of X after which rc moves its budget.
@@ -66,6 +68,7 @@ class FistaLike:
 class Online:
     """Capped inertia a_k = min{a, c / (k^(1+delta) * step_prev^2)}.
 
+    step_prev = |X_k-1 - X_k-2| is the norm of the last step, 0 at k = 1.
     The cap construction makes the terms a_k * step^2 summable by design.
     """
 
@@ -184,11 +187,11 @@ class SolveTrace:
     X: np.ndarray
     converged: bool
     seconds: float
-    seed: int = None
-    gamma: float = None
-    lipschitz: float = None
-    notes: tuple = ()
-    exit_residual: float = None
+    seed: int
+    gamma: float
+    lipschitz: float
+    notes: tuple
+    exit_residual: float
 
     @property
     def iterations(self):
@@ -277,15 +280,6 @@ def _sketched_rank(X, U, V, rel_tol, hint, rng):
 # ---------------------------------------------------------------------------
 # solvers
 
-def _diverged(step, X_new):
-    """Whether X_new has a non-finite entry, given step = |X_new - X| with X finite.
-
-    A finite step proves X_new finite, so its entries are read only when
-    the step is not finite.
-    """
-    return not np.isfinite(step) and not np.all(np.isfinite(X_new))
-
-
 def _prox_residual(p, X, gamma):
     """Relative prox-gradient residual |X - SVT(X - g grad f(X), g tau)| / (g max(|X|, 1))."""
     Z = X - gamma * operators.gradient(p, X)
@@ -348,7 +342,8 @@ def prograamme_solve(p, cfg, *, seed=0):
 
     Raises:
         DivergenceError: the gradient step, the inner solve or the iterate
-            became non-finite; its trace holds the finite records before.
+            became non-finite; its trace holds the finite records before,
+            the last finite X and the run's notes.
     """
     return _solve(p, cfg, seed, exact=False)
 
@@ -390,8 +385,9 @@ def _solve(p, cfg, seed, exact):
 
     # Y -> Y - gamma grad f(Y), taken as the operator sees fit
     gradient_step = p.op.gradient_step(p, gamma)
-    X_prev = X
-    step_prev = 0.0
+    # the last step X_k - X_k-1 and its norm, zero before the first
+    D = X
+    step = 0.0
     records = []
     notes = []
     # the default gamma = 1/L meets the bound exactly, whatever the rounding of gamma * L
@@ -399,25 +395,27 @@ def _solve(p, cfg, seed, exact):
         notes.append("step size meets or exceeds the classical FISTA bound 1/L; "
                      "convergence is empirical only")
     held = 0
-    residual = None
-    converged = False
+
+    def trace(converged, exit_residual=None):
+        """SolveTrace of the records so far; every exit, divergence included, builds it here."""
+        return SolveTrace(records, X, converged, time.perf_counter() - start, seed, gamma, L,
+                          tuple(notes), exit_residual)
 
     def divergence(what):
         """DivergenceError for `what` in iteration k, with the finite records before it."""
-        trace = SolveTrace(records, X, False, time.perf_counter() - start, seed, gamma, L)
         return DivergenceError(f"{what} became non-finite at iteration {k} "
-                               f"(gamma={gamma:.3e}, L={L:.3e})", trace=trace)
+                               f"(gamma={gamma:.3e}, L={L:.3e})", trace=trace(False))
 
     for k in range(1, cfg.stop.max_iter + 1):
-        a = inertial_value(cfg.rule, k, step_prev)
+        a = inertial_value(cfg.rule, k, step)
         # both prox steps validate Z on entry, so Z is read for non-finite
         # entries only when one of them refuses a non-finite matrix; a
         # gradient step that raises leaves Z None
         Z = None
         try:
-            Z = gradient_step(X if a == 0.0 else X + a * (X - X_prev))
-            # not read again before X replaces it: free its array for the prox step
-            X_prev = None
+            Z = gradient_step(X if a == 0.0 else X + a * D)
+            # not read again before the next step replaces it: free its array for the prox step
+            D = None
             if exact:
                 X_new, rank_x = prox.svt_with_rank(Z, mu)
                 inner_iters = 0
@@ -431,37 +429,40 @@ def _solve(p, cfg, seed, exact):
             # with Z finite, an overflow inside the alternating passes
             finite = Z is not None and np.all(np.isfinite(Z))
             raise divergence("inner solve" if finite else "gradient step") from exc
-        step = float(np.linalg.norm(X_new - X))
-        if _diverged(step, X_new):
+        D = X_new - X
+        step = float(np.linalg.norm(D))
+        # X is finite, so a finite step proves X_new finite
+        if not np.isfinite(step) and not np.all(np.isfinite(X_new)):
             raise divergence("iterate")
+        stop = step <= cfg.stop.step_tol or (
+            cfg.stop.rel_step_tol > 0.0
+            and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X)), 1.0)
+        )
+        # the previous iterate is read no more; dropping it before the rank
+        # read keeps D from adding an m x n array to the loop's peak
+        X = X_new
 
         if not exact:
             hint = records[-1].rank_x if records else r
-            rank_x = _sketched_rank(X_new, pair.U, pair.V, DEFAULT_RANK_TOL, hint, sketch_rng)
+            rank_x = _sketched_rank(X, pair.U, pair.V, DEFAULT_RANK_TOL, hint, sketch_rng)
             if rank_x is None:
                 rank_x = _factored_rank(pair.U, pair.V, DEFAULT_RANK_TOL)
         held = held + 1 if records and records[-1].rank_x == rank_x else 1
         # the exact step's budget min(m, n) is no constraint, even when X fills it
         binding = not exact and rank_x == r
-        stop = step <= cfg.stop.step_tol or (
-            cfg.stop.rel_step_tol > 0.0
-            and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X)), 1.0)
-        )
-        if stop and binding:
-            residual = _prox_residual(p, X_new, gamma)
+        residual = _prox_residual(p, X, gamma) if stop and binding else None
         uncertified = residual is not None and residual > _EXIT_RESIDUAL_TOL
-        grown = None
         if (adaptive and binding and r < r_cap
                 and (uncertified or (held >= _CADENCE and not stop))):
-            grown = _grow_factors(Z - X_new, mu, pair, min(r, r_cap - r), grow_rng)
+            grown = _grow_factors(Z - X, mu, pair, min(r, r_cap - r), grow_rng)
             # whether or not it adds columns, the next attempt waits for
             # _CADENCE more reads
             held = 0
-        if grown is not None:
-            # the rank of X fills the budget: add the residual's missing
-            # SVT terms as new columns and go on
-            notes.append(f"rank budget grown from {r} to {grown.r} at iteration {k}")
-            pair, r, residual, stop = grown, grown.r, None, False
+            if grown is not None:
+                # the rank of X fills the budget: add the residual's missing
+                # SVT terms as new columns and go on
+                notes.append(f"rank budget grown from {r} to {grown.r} at iteration {k}")
+                pair, r, stop = grown, grown.r, False
         elif adaptive and held >= _CADENCE and rank_x + _RANK_MARGIN < r:
             # the rank of X has settled below the budget: drop the factor
             # columns that carry nothing beyond DEFAULT_RANK_TOL, keeping a margin
@@ -469,20 +470,16 @@ def _solve(p, cfg, seed, exact):
             pair = truncate_factors(pair.U, pair.V, new_r)
             notes.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
             r = new_r
-        elif uncertified:
-            notes.append(
-                f"rank budget r={r} binds at exit: prox-gradient residual "
-                f"{residual:.2e} > {_EXIT_RESIDUAL_TOL:.0e}, so X is not the "
-                "optimum; a larger r is needed"
-            )
         records.append(TraceRecord(k, time.perf_counter() - start, step, rank_x, r,
                                    inner_iters))
 
-        X_prev, X, step_prev = X, X_new, step
         if stop:
+            if uncertified:
+                notes.append(
+                    f"rank budget r={r} binds at exit: prox-gradient residual "
+                    f"{residual:.2e} > {_EXIT_RESIDUAL_TOL:.0e}, so X is not the "
+                    "optimum; a larger r is needed"
+                )
             # an exit on a binding budget that fails its certificate has not converged
-            converged = not uncertified
-            break
-
-    return SolveTrace(records, X, converged, time.perf_counter() - start, seed, gamma, L,
-                      notes=tuple(notes), exit_residual=residual)
+            return trace(not uncertified, residual)
+    return trace(False)

@@ -1,7 +1,8 @@
-"""Checks on the source: no unused import, file formats only in the CLI, and no scipy.
+"""Checks on the source: no unused import or unread private name, file formats
+only in the CLI, and no scipy.
 
-The first two read the syntax tree with the standard library's ast module,
-so they need no linter; perfbench/ is not scanned. The third runs two
+The first three read the syntax tree with the standard library's ast module,
+so they need no linter; perfbench/ is not scanned. The fourth runs two
 solves in a fresh interpreter.
 """
 
@@ -45,6 +46,39 @@ def test_no_unused_import():
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path in PACKAGE + TESTS for line, name in _unused_imports(_tree(path))]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _private_definitions(tree):
+    """(line, name) of every module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in bound
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _names_read(tree):
+    """Every name the module reads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_unread_private_name():
+    # a private helper, class or constant that nothing in the package reads is dead code
+    trees = {path: _tree(path) for path in PACKAGE}
+    read = {name for tree in trees.values() for name in _names_read(tree)}
+    unread = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path, tree in trees.items()
+              for line, name in _private_definitions(tree) if name not in read]
+    assert not unread, "private names never read in the package:\n" + "\n".join(unread)
 
 
 def _file_io(tree):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lowrank import amfit, linalg, operators, problems, solver
+from lowrank import amfit, linalg, operators, problems, prox, solver
 from lowrank.amfit import FactorPair, FixedI, IncreasingI, Tolerance
 from lowrank.exceptions import DivergenceError
 from lowrank.linalg import DEFAULT_RANK_TOL
@@ -582,6 +582,21 @@ def test_divergent_step_raises():
             solve(p, cfg)
         trace = exc_info.value.trace
         assert trace is not None and len(trace.records) == trace.iterations > 0
+    # FISTA diverges as well, and its trace keeps the notes the run wrote:
+    # the FISTA-bound note, and rc's budget moves before the divergence
+    for solve, continuation in ((pgd_solve, False), (prograamme_solve, False),
+                                (prograamme_solve, True)):
+        cfg = SolverConfig(gamma=50.0 / L, rule=FistaLike(20), stop=Stopping(0.0, 0.0, 5000),
+                           continuation=Continuation(enabled=continuation))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DivergenceError, match="became non-finite") as exc_info:
+            solve(p, cfg)
+        trace = exc_info.value.trace
+        assert trace is not None and trace.iterations > 0
+        assert trace.notes[0].startswith("step size meets or exceeds the classical FISTA bound")
+        grown = [note for note in trace.notes if note.startswith("rank budget grown")]
+        assert bool(grown) == continuation
+        assert trace.notes == (trace.notes[0], *grown)
 
 
 def test_set_up_is_on_the_clock(monkeypatch):
@@ -658,6 +673,54 @@ def test_overflowing_product_of_finite_factors_raises(monkeypatch):
         prograamme_solve(p, SolverConfig(r=4))
     trace = exc_info.value.trace
     assert trace is not None and trace.records == [] and trace.iterations == 0
+
+
+@pytest.mark.parametrize("kind", ["completion", "sensing"])
+@pytest.mark.parametrize("algo", ["pgd", "plain", "rc"])
+@pytest.mark.parametrize("rule", [Constant(0.5), FistaLike(20), Online()], ids=repr)
+def test_extrapolation_is_the_last_step(monkeypatch, kind, algo, rule):
+    # the point each iteration hands to the gradient step is
+    # Y_k = X_k-1 + a_k (X_k-1 - X_k-2), with X_0 = X_-1 = 0
+    p = small_completion_problem()[0] if kind == "completion" else small_sensing_problem()
+    Ys, Xs, As = [], [], []
+    op_type = type(p.op)
+    make_step = op_type.gradient_step
+
+    def spying_gradient_step(op, p, gamma):
+        step = make_step(op, p, gamma)
+
+        def spy(Y):
+            Ys.append(Y.copy())
+            return step(Y)
+        return spy
+
+    value = solver.inertial_value
+
+    def spying_value(rule, k, step_norm_prev=0.0):
+        As.append(value(rule, k, step_norm_prev))
+        return As[-1]
+
+    exact = algo == "pgd"
+    owner, name = (prox, "svt_with_rank") if exact else (FactorPair, "product")
+    form = getattr(owner, name)
+
+    def spying_form(*args):
+        out = form(*args)
+        Xs.append((out[0] if exact else out).copy())
+        return out
+
+    monkeypatch.setattr(op_type, "gradient_step", spying_gradient_step)
+    monkeypatch.setattr(solver, "inertial_value", spying_value)
+    monkeypatch.setattr(owner, name, spying_form)
+    cfg = SolverConfig(r=8, rule=rule, stop=Stopping(1e-8, 0.0, 200),
+                       continuation=Continuation(enabled=algo == "rc"))
+    trace = (pgd_solve if exact else prograamme_solve)(p, cfg, seed=1)
+    assert len(Ys) == len(Xs) == len(As) == trace.iterations > 5
+    assert max(As) > 0.0 and np.array_equal(Xs[-1], trace.X)
+    zero = np.zeros(p.domain_shape)
+    X = [zero, zero] + Xs
+    for k in range(1, trace.iterations + 1):
+        assert np.array_equal(Ys[k - 1], X[k] + As[k - 1] * (X[k] - X[k - 1])), k
 
 
 def textbook_gradient(p, X):
