@@ -143,20 +143,23 @@ def inner_solve(Z, mu, start, policy, k=1):
         )
     if isinstance(policy, IncreasingI):
         policy = FixedI(policy.start + (k - 1) // policy.every)
-    if isinstance(policy, FixedI):
-        for _ in range(policy.passes):
-            U = update_U(Z, V, mu)
-            V = update_V(Z, U, mu)
-        return FactorPair(U, V), policy.passes
-    if isinstance(policy, Tolerance):
-        X = U @ V
-        for i in range(policy.max_inner):
-            U = update_U(Z, V, mu)
-            V = update_V(Z, U, mu)
-            X_new = U @ V
-            change = np.linalg.norm(X_new - X) / max(np.linalg.norm(X), 1.0)
-            X = X_new
-            if change <= policy.eps:
-                return FactorPair(U, V), i + 1
-        return FactorPair(U, V), policy.max_inner
+    # an overflow inside a pass is raised as NonFiniteError by spd_solve or
+    # FactorPair, so numpy does not warn about it first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(policy, FixedI):
+            for _ in range(policy.passes):
+                U = update_U(Z, V, mu)
+                V = update_V(Z, U, mu)
+            return FactorPair(U, V), policy.passes
+        if isinstance(policy, Tolerance):
+            X = U @ V
+            for i in range(policy.max_inner):
+                U = update_U(Z, V, mu)
+                V = update_V(Z, U, mu)
+                X_new = U @ V
+                change = np.linalg.norm(X_new - X) / max(np.linalg.norm(X), 1.0)
+                X = X_new
+                if change <= policy.eps:
+                    return FactorPair(U, V), i + 1
+            return FactorPair(U, V), policy.max_inner
     raise TypeError(f"unknown inner policy {policy!r}")

@@ -166,14 +166,24 @@ class Problem:
             raise DimensionError(f"W shape {W.shape} != codomain {shape}")
         if np.any(W < 0.0):
             raise ValueError("weights must be nonnegative")
-        if not np.any(W):
-            raise DegenerateProblemError("weight matrix is identically zero")
+        # the loss and its Lipschitz bound read only the squares, so they are
+        # what must be usable: a weight above about 1e154 squares to inf, and
+        # weights all below about 1e-162 square to zero
+        with np.errstate(over="ignore"):
+            W_tilde = W * W
+        w_max = np.max(W_tilde)
+        if w_max == np.inf:
+            raise DegenerateProblemError(
+                f"squared weights W . W overflow (max weight {np.max(W):.3e})")
+        if w_max == 0.0:
+            raise DegenerateProblemError("squared weights W . W are identically zero "
+                                         f"(max weight {np.max(W):.3e})")
         if not 0.0 < self.tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "W_tilde", W * W)
+        object.__setattr__(self, "W_tilde", W_tilde)
 
     @property
     def domain_shape(self):
@@ -206,12 +216,10 @@ def lipschitz_bound(p):
     unobserved entries (zero weight) do not count. The identity has unit
     norm; dense sensing uses an upper bound on the spectral norm of the
     sensing matrix, at most 1e-10 above it relatively. So gamma = 1/L never
-    exceeds the step bound 1/L of the convergence theory.
+    exceeds the step bound 1/L of the convergence theory. Problem makes
+    sure the largest squared weight is positive and finite.
     """
-    w_max = float(np.max(p.W_tilde))
-    if w_max == 0.0:
-        raise DegenerateProblemError("weight matrix is identically zero")
-    return float(p.op.operator_norm) ** 2 * w_max
+    return float(p.op.operator_norm) ** 2 * float(np.max(p.W_tilde))
 
 
 def objective(p, X):

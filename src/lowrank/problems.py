@@ -60,7 +60,8 @@ class GaussianScaled:
 class SparseLarge:
     """Uniform noise from [low, high] on a random support of fraction sparsity.
 
-    low <= high are finite and sparsity lies in (0, 1).
+    low <= high are finite, and so is high - low, the width numpy's draw
+    needs; sparsity lies in (0, 1).
     """
 
     low: float = -50.0
@@ -70,6 +71,8 @@ class SparseLarge:
     def __post_init__(self):
         _check_finite(self, "low", "high")
         _check_order(self, "low", "high")
+        if not math.isfinite(self.high - self.low):
+            raise InvalidSpecError(f"high - low must be finite, got {self.high!r} - {self.low!r}")
         _check_fraction("sparsity", self.sparsity)
 
 
@@ -180,7 +183,10 @@ class GeneratedProblem:
 
     @property
     def noise_norm(self):
-        return float(np.linalg.norm(self.noise))
+        # squares that overflow give an infinite norm, which Problem refuses
+        # as a tau
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return float(np.linalg.norm(self.noise))
 
     def problem(self, tau):
         return Problem(self.op, self.F, self.W, tau)
@@ -234,27 +240,30 @@ def generate_full(spec):
     (spec, seed) always produces identical output. A mask multiplies F and
     the drawn weights.
     """
-    rng = np.random.default_rng(spec.seed)
-    m, n = spec.m, spec.n
-    A = rng.standard_normal((m, spec.rank))
-    B = rng.standard_normal((spec.rank, n))
-    X = A @ B
+    # a draw that overflows leaves non-finite entries in F, which Problem and
+    # the CLI's writer refuse, so numpy does not warn about it first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rng = np.random.default_rng(spec.seed)
+        m, n = spec.m, spec.n
+        A = rng.standard_normal((m, spec.rank))
+        B = rng.standard_normal((spec.rank, n))
+        X = A @ B
 
-    if spec.sensing_dim is not None:
-        # 1/sqrt(d) scaling makes the sensing map a near-isometry, so
-        # measurement and domain scales match
-        d = spec.sensing_dim
-        op = DenseSensing(rng.standard_normal((d, m * n)) / np.sqrt(d), (m, n))
-    else:
-        op = Identity((m, n))
-    mask = 1.0
-    if spec.mask_fraction is not None:
-        mask = (rng.random((m, n)) < spec.mask_fraction).astype(float)
-    noise = _make_noise(rng, spec, op.codomain_shape, X)
-    F = (op.apply(X) + noise) * mask
+        if spec.sensing_dim is not None:
+            # 1/sqrt(d) scaling makes the sensing map a near-isometry, so
+            # measurement and domain scales match
+            d = spec.sensing_dim
+            op = DenseSensing(rng.standard_normal((d, m * n)) / np.sqrt(d), (m, n))
+        else:
+            op = Identity((m, n))
+        mask = 1.0
+        if spec.mask_fraction is not None:
+            mask = (rng.random((m, n)) < spec.mask_fraction).astype(float)
+        noise = _make_noise(rng, spec, op.codomain_shape, X)
+        F = (op.apply(X) + noise) * mask
 
-    W = _make_weights(rng, spec, op.codomain_shape) * mask
-    return GeneratedProblem(spec, op, F, W, X, noise)
+        W = _make_weights(rng, spec, op.codomain_shape) * mask
+        return GeneratedProblem(spec, op, F, W, X, noise)
 
 
 # ---------------------------------------------------------------------------

@@ -364,122 +364,125 @@ def pgd_solve(p, cfg, *, seed=0):
 def _solve(p, cfg, seed, exact):
     """The proximal-gradient loop of both solvers from X = 0; exact picks the SVT prox step."""
     start = time.perf_counter()
-    X = np.zeros(p.domain_shape)
-    m, n = X.shape
-    L = operators.lipschitz_bound(p)
-    gamma = cfg.gamma if cfg.gamma is not None else 1.0 / L
-    mu = p.tau * gamma
-    adaptive = cfg.continuation.enabled and not exact
-    if exact:
-        r = r_cap = min(m, n)
-    else:
-        rng = np.random.default_rng(seed)
-        # the rank sketch and the growth steps draw from generators of their
-        # own so that the cold-start restarts do not move; a certified read
-        # does not depend on its draws
-        sketch_rng = np.random.default_rng(0)
-        grow_rng = np.random.default_rng(1)
-        r_cap = min(cfg.r, m, n)
-        r = min(r_cap, _RANK_MARGIN) if adaptive else r_cap
-        pair = amfit.random_pair(m, n, r, rng)
+    # every non-finite result is raised below as DivergenceError, so numpy
+    # does not warn about it first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        X = np.zeros(p.domain_shape)
+        m, n = X.shape
+        L = operators.lipschitz_bound(p)
+        gamma = cfg.gamma if cfg.gamma is not None else 1.0 / L
+        mu = p.tau * gamma
+        adaptive = cfg.continuation.enabled and not exact
+        if exact:
+            r = r_cap = min(m, n)
+        else:
+            rng = np.random.default_rng(seed)
+            # the rank sketch and the growth steps draw from generators of their
+            # own so that the cold-start restarts do not move; a certified read
+            # does not depend on its draws
+            sketch_rng = np.random.default_rng(0)
+            grow_rng = np.random.default_rng(1)
+            r_cap = min(cfg.r, m, n)
+            r = min(r_cap, _RANK_MARGIN) if adaptive else r_cap
+            pair = amfit.random_pair(m, n, r, rng)
 
-    # Y -> Y - gamma grad f(Y), taken as the operator sees fit
-    gradient_step = p.op.gradient_step(p, gamma)
-    # the last step X_k - X_k-1 and its norm, zero before the first
-    D = X
-    step = 0.0
-    records = []
-    notes = []
-    # the default gamma = 1/L meets the bound exactly, whatever the rounding of gamma * L
-    if isinstance(cfg.rule, FistaLike) and gamma >= 1.0 / L:
-        notes.append("step size meets or exceeds the classical FISTA bound 1/L; "
-                     "convergence is empirical only")
-    held = 0
+        # Y -> Y - gamma grad f(Y), taken as the operator sees fit
+        gradient_step = p.op.gradient_step(p, gamma)
+        # the last step X_k - X_k-1 and its norm, zero before the first
+        D = X
+        step = 0.0
+        records = []
+        notes = []
+        # the default gamma = 1/L meets the bound exactly, whatever the rounding of gamma * L
+        if isinstance(cfg.rule, FistaLike) and gamma >= 1.0 / L:
+            notes.append("step size meets or exceeds the classical FISTA bound 1/L; "
+                         "convergence is empirical only")
+        held = 0
 
-    def trace(converged, exit_residual=None):
-        """SolveTrace of the records so far; every exit, divergence included, builds it here."""
-        return SolveTrace(records, X, converged, time.perf_counter() - start, seed, gamma, L,
-                          tuple(notes), exit_residual)
+        def trace(converged, exit_residual=None):
+            """SolveTrace of the records so far; every exit, divergence included, builds it."""
+            return SolveTrace(records, X, converged, time.perf_counter() - start, seed, gamma, L,
+                              tuple(notes), exit_residual)
 
-    def divergence(what):
-        """DivergenceError for `what` in iteration k, with the finite records before it."""
-        return DivergenceError(f"{what} became non-finite at iteration {k} "
-                               f"(gamma={gamma:.3e}, L={L:.3e})", trace=trace(False))
+        def divergence(what):
+            """DivergenceError for `what` in iteration k, with the finite records before it."""
+            return DivergenceError(f"{what} became non-finite at iteration {k} "
+                                   f"(gamma={gamma:.3e}, L={L:.3e})", trace=trace(False))
 
-    for k in range(1, cfg.stop.max_iter + 1):
-        a = inertial_value(cfg.rule, k, step)
-        # both prox steps validate Z on entry, so Z is read for non-finite
-        # entries only when one of them refuses a non-finite matrix; a
-        # gradient step that raises leaves Z None
-        Z = None
-        try:
-            Z = gradient_step(X if a == 0.0 else X + a * D)
-            # not read again before the next step replaces it: free its array for the prox step
-            D = None
-            if exact:
-                X_new, rank_x = prox.svt_with_rank(Z, mu)
-                inner_iters = 0
-            else:
-                if pair.is_zero():
-                    # degenerate fixed point of the inner iteration; restart
-                    pair = amfit.random_pair(m, n, r, rng)
-                pair, inner_iters = amfit.inner_solve(Z, mu, pair, cfg.inner, k)
-                X_new = pair.product()
-        except NonFiniteError as exc:
-            # with Z finite, an overflow inside the alternating passes
-            finite = Z is not None and np.all(np.isfinite(Z))
-            raise divergence("inner solve" if finite else "gradient step") from exc
-        D = X_new - X
-        step = float(np.linalg.norm(D))
-        # X is finite, so a finite step proves X_new finite
-        if not np.isfinite(step) and not np.all(np.isfinite(X_new)):
-            raise divergence("iterate")
-        stop = step <= cfg.stop.step_tol or (
-            cfg.stop.rel_step_tol > 0.0
-            and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X)), 1.0)
-        )
-        # the previous iterate is read no more; dropping it before the rank
-        # read keeps D from adding an m x n array to the loop's peak
-        X = X_new
+        for k in range(1, cfg.stop.max_iter + 1):
+            a = inertial_value(cfg.rule, k, step)
+            # both prox steps validate Z on entry, so Z is read for non-finite
+            # entries only when one of them refuses a non-finite matrix; a
+            # gradient step that raises leaves Z None
+            Z = None
+            try:
+                Z = gradient_step(X if a == 0.0 else X + a * D)
+                # not read again before the next step replaces it: free its array for the prox step
+                D = None
+                if exact:
+                    X_new, rank_x = prox.svt_with_rank(Z, mu)
+                    inner_iters = 0
+                else:
+                    if pair.is_zero():
+                        # degenerate fixed point of the inner iteration; restart
+                        pair = amfit.random_pair(m, n, r, rng)
+                    pair, inner_iters = amfit.inner_solve(Z, mu, pair, cfg.inner, k)
+                    X_new = pair.product()
+            except NonFiniteError as exc:
+                # with Z finite, an overflow inside the alternating passes
+                finite = Z is not None and np.all(np.isfinite(Z))
+                raise divergence("inner solve" if finite else "gradient step") from exc
+            D = X_new - X
+            step = float(np.linalg.norm(D))
+            # X is finite, so a finite step proves X_new finite
+            if not np.isfinite(step) and not np.all(np.isfinite(X_new)):
+                raise divergence("iterate")
+            stop = step <= cfg.stop.step_tol or (
+                cfg.stop.rel_step_tol > 0.0
+                and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X)), 1.0)
+            )
+            # the previous iterate is read no more; dropping it before the rank
+            # read keeps D from adding an m x n array to the loop's peak
+            X = X_new
 
-        if not exact:
-            hint = records[-1].rank_x if records else r
-            rank_x = _sketched_rank(X, pair.U, pair.V, DEFAULT_RANK_TOL, hint, sketch_rng)
-            if rank_x is None:
-                rank_x = _factored_rank(pair.U, pair.V, DEFAULT_RANK_TOL)
-        held = held + 1 if records and records[-1].rank_x == rank_x else 1
-        # the exact step's budget min(m, n) is no constraint, even when X fills it
-        binding = not exact and rank_x == r
-        residual = _prox_residual(p, X, gamma) if stop and binding else None
-        uncertified = residual is not None and residual > _EXIT_RESIDUAL_TOL
-        if (adaptive and binding and r < r_cap
-                and (uncertified or (held >= _CADENCE and not stop))):
-            grown = _grow_factors(Z - X, mu, pair, min(r, r_cap - r), grow_rng)
-            # whether or not it adds columns, the next attempt waits for
-            # _CADENCE more reads
-            held = 0
-            if grown is not None:
-                # the rank of X fills the budget: add the residual's missing
-                # SVT terms as new columns and go on
-                notes.append(f"rank budget grown from {r} to {grown.r} at iteration {k}")
-                pair, r, stop = grown, grown.r, False
-        elif adaptive and held >= _CADENCE and rank_x + _RANK_MARGIN < r:
-            # the rank of X has settled below the budget: drop the factor
-            # columns that carry nothing beyond DEFAULT_RANK_TOL, keeping a margin
-            new_r = rank_x + _RANK_MARGIN
-            pair = truncate_factors(pair.U, pair.V, new_r)
-            notes.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
-            r = new_r
-        records.append(TraceRecord(k, time.perf_counter() - start, step, rank_x, r,
-                                   inner_iters))
+            if not exact:
+                hint = records[-1].rank_x if records else r
+                rank_x = _sketched_rank(X, pair.U, pair.V, DEFAULT_RANK_TOL, hint, sketch_rng)
+                if rank_x is None:
+                    rank_x = _factored_rank(pair.U, pair.V, DEFAULT_RANK_TOL)
+            held = held + 1 if records and records[-1].rank_x == rank_x else 1
+            # the exact step's budget min(m, n) is no constraint, even when X fills it
+            binding = not exact and rank_x == r
+            residual = _prox_residual(p, X, gamma) if stop and binding else None
+            uncertified = residual is not None and residual > _EXIT_RESIDUAL_TOL
+            if (adaptive and binding and r < r_cap
+                    and (uncertified or (held >= _CADENCE and not stop))):
+                grown = _grow_factors(Z - X, mu, pair, min(r, r_cap - r), grow_rng)
+                # whether or not it adds columns, the next attempt waits for
+                # _CADENCE more reads
+                held = 0
+                if grown is not None:
+                    # the rank of X fills the budget: add the residual's missing
+                    # SVT terms as new columns and go on
+                    notes.append(f"rank budget grown from {r} to {grown.r} at iteration {k}")
+                    pair, r, stop = grown, grown.r, False
+            elif adaptive and held >= _CADENCE and rank_x + _RANK_MARGIN < r:
+                # the rank of X has settled below the budget: drop the factor
+                # columns that carry nothing beyond DEFAULT_RANK_TOL, keeping a margin
+                new_r = rank_x + _RANK_MARGIN
+                pair = truncate_factors(pair.U, pair.V, new_r)
+                notes.append(f"rank budget cut from {r} to {new_r} at iteration {k}")
+                r = new_r
+            records.append(TraceRecord(k, time.perf_counter() - start, step, rank_x, r,
+                                       inner_iters))
 
-        if stop:
-            if uncertified:
-                notes.append(
-                    f"rank budget r={r} binds at exit: prox-gradient residual "
-                    f"{residual:.2e} > {_EXIT_RESIDUAL_TOL:.0e}, so X is not the "
-                    "optimum; a larger r is needed"
-                )
-            # an exit on a binding budget that fails its certificate has not converged
-            return trace(not uncertified, residual)
-    return trace(False)
+            if stop:
+                if uncertified:
+                    notes.append(
+                        f"rank budget r={r} binds at exit: prox-gradient residual "
+                        f"{residual:.2e} > {_EXIT_RESIDUAL_TOL:.0e}, so X is not the "
+                        "optimum; a larger r is needed"
+                    )
+                # an exit on a binding budget that fails its certificate has not converged
+                return trace(not uncertified, residual)
+        return trace(False)

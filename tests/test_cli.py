@@ -163,6 +163,7 @@ def test_problem_dir_with_a_mask_exits_2(tmp_path, runner):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_generate_invalid_spec_exits_2(tmp_path, runner):
     # int() used to truncate a seed of 2.5 and generate the seed-2 instance; a
     # NaN w_min ended in numpy's OverflowError; a NaN sigma, and a sigma of
@@ -177,9 +178,8 @@ def test_generate_invalid_spec_exits_2(tmp_path, runner):
                 dict(SPEC, weights={"type": "UniformInt", "w_min": 1, "w_max": 2**70})):
         spec_file = tmp_path / "spec.json"
         write_json(spec_file, bad)
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = runner.invoke(cli.main, ["generate", "--spec", str(spec_file),
-                                              "--out", str(tmp_path / "p")])
+        result = runner.invoke(cli.main, ["generate", "--spec", str(spec_file),
+                                          "--out", str(tmp_path / "p")])
         assert result.exit_code == cli.EXIT_VALIDATION
         assert "error" in result.output
         assert not (tmp_path / "p").exists()
@@ -328,6 +328,36 @@ def test_cli_module_runs_in_fresh_interpreters(tmp_path):
     assert header == "k,elapsed_s,step_norm,rank_x,r,inner_iters"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args, message", [
+    (("solve", "--algo", "prograamme", "--config", "factored.json"),
+     "inner solve became non-finite at iteration 260 "),
+    (("solve", "--algo", "prograamme-rc", "--config", "factored.json"),
+     "inner solve became non-finite at iteration 260 "),
+    (("solve", "--algo", "pgd", "--config", "svt.json"),
+     "iterate became non-finite at iteration 1022 "),
+    (("solve", "--algo", "fista", "--config", "svt.json"),
+     "iterate became non-finite at iteration 500 "),
+    (("generate", "--spec", "overflow.json"), "F contains non-finite entries"),
+], ids=["prograamme", "prograamme-rc", "pgd", "fista", "generate"])
+def test_failing_cli_run_writes_one_stderr_line(tmp_path, runner, args, message):
+    # a fresh interpreter keeps numpy's default warning filters: a solve that
+    # diverges at gamma = 3 and a generate whose noise draw overflows each
+    # used to print numpy's RuntimeWarnings, with their source lines, first
+    make_problem_dir(tmp_path, runner)
+    wild = dict(CONFIG, gamma=3.0)
+    write_json(tmp_path / "svt.json", wild)
+    write_json(tmp_path / "factored.json", dict(wild, rule={"type": "fista", "d": 20}))
+    write_json(tmp_path / "overflow.json",
+               dict(SPEC, noise={"type": "AdditiveGaussian", "sigma": 1e308}))
+    out = ("--problem", "prob", "--out", "run") if args[0] == "solve" else ("--out", "huge")
+    run = _run_module(tmp_path, *args, *out)
+    assert run.returncode == cli.EXIT_VALIDATION, run.stdout + run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
+    assert message in lines[0]
+
+
 def test_solve_non_convergence_exits_3(tmp_path, runner):
     prob_dir = make_problem_dir(tmp_path, runner)
     config_file = tmp_path / "config.json"
@@ -466,6 +496,7 @@ def test_bench_repeats_below_1_exits_2(tmp_path, runner):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
     # a step far above 1/L makes pgd diverge; the sweep goes on and keeps the trace
     config = dict(BENCH_CONFIG, gamma=50.0, stop={"step_tol": 0.0, "max_iter": 5000})
@@ -474,10 +505,9 @@ def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
     suite_file = tmp_path / "suite.json"
     write_json(suite_file, suite)
     out = tmp_path / "bench"
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = runner.invoke(cli.main, [
-            "bench", "--suite", str(suite_file), "--out", str(out),
-        ])
+    result = runner.invoke(cli.main, [
+        "bench", "--suite", str(suite_file), "--out", str(out),
+    ])
     assert result.exit_code == 0, result.output
     with open(out / "aggregate.csv", newline="") as fh:
         row = next(csv.DictReader(fh))
@@ -489,6 +519,7 @@ def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
         assert "gradient step became non-finite" in json.load(fh)["warnings"][0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad, message", [
     ({"config": dict(BENCH_CONFIG, R=10)}, "not read by the solver: R"),
     ({"config": {key: value for key, value in BENCH_CONFIG.items() if key != "tau"}},
@@ -514,9 +545,8 @@ def test_bench_validates_every_run_before_the_first_solve(tmp_path, runner, bad,
     suite_file = tmp_path / "suite.json"
     write_json(suite_file, suite)
     out = tmp_path / "bench"
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = runner.invoke(cli.main, ["bench", "--suite", str(suite_file),
-                                          "--out", str(out)])
+    result = runner.invoke(cli.main, ["bench", "--suite", str(suite_file),
+                                      "--out", str(out)])
     assert result.exit_code == cli.EXIT_VALIDATION
     assert message in result.output
     assert not (out / "good").exists()

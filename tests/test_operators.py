@@ -155,6 +155,7 @@ def test_gradient_shape_check():
         gradient(p, np.full((3, 3), np.inf))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_problem_validation():
     F = np.ones((3, 3))
     with pytest.raises(ValueError):
@@ -165,6 +166,20 @@ def test_problem_validation():
         Problem(Identity((3, 3)), F, np.ones((3, 3)), 0.0)
     with pytest.raises(DimensionError):
         Problem(Identity((3, 3)), np.ones((2, 3)), np.ones((3, 3)), 1.0)
+    # squares of 1e200 overflow and squares of 1e-200 underflow to zero: the
+    # first was accepted with L = inf, so gamma = 0, and the second was
+    # refused by lipschitz_bound as a zero weight matrix, which W is not
+    F = np.ones((20, 20))
+    with pytest.raises(DegenerateProblemError, match=r"^squared weights W \. W overflow"):
+        Problem(Identity((20, 20)), F, np.full((20, 20), 1e200), 1.0)
+    with pytest.raises(DegenerateProblemError,
+                       match=r"^squared weights W \. W are identically zero"):
+        Problem(Identity((20, 20)), F, np.full((20, 20), 1e-200), 1.0)
+    # one overflowing square is enough
+    W = np.ones((20, 20))
+    W[3, 4] = 1e160
+    with pytest.raises(DegenerateProblemError, match="overflow"):
+        Problem(Identity((20, 20)), F, W, 1.0)
 
 
 def test_gradient_identity_unit_weights():

@@ -52,6 +52,8 @@ def test_spec_validation():
             (lambda: SparseLarge(5.0, 1.0), "low must not exceed high"),
             (lambda: SparseLarge(-inf, 1.0), "low must be finite"),
             (lambda: SparseLarge(0.0, nan), "high must be finite"),
+            # numpy's uniform draw raised OverflowError, a traceback from the CLI
+            (lambda: SparseLarge(-1e308, 1e308), r"high - low must be finite"),
             (lambda: SparseLarge(sparsity=1.0), "sparsity must lie in")):
         with pytest.raises(InvalidSpecError, match=message):
             make()

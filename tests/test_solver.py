@@ -566,6 +566,7 @@ def test_exact_prox_budget_is_inert(monkeypatch):
             assert not any("rank budget" in note for note in trace.notes)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergent_step_raises():
     p, _ = small_completion_problem()
     L = 1.0  # unit weights, mask operator
@@ -577,8 +578,7 @@ def test_divergent_step_raises():
             (prograamme_solve, True, "^inner solve became non-finite")):
         cfg = SolverConfig(gamma=50.0 / L, stop=Stopping(0.0, 0.0, 5000),
                            continuation=Continuation(enabled=continuation))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                DivergenceError, match=phase) as exc_info:
+        with pytest.raises(DivergenceError, match=phase) as exc_info:
             solve(p, cfg)
         trace = exc_info.value.trace
         assert trace is not None and len(trace.records) == trace.iterations > 0
@@ -588,8 +588,7 @@ def test_divergent_step_raises():
                                 (prograamme_solve, True)):
         cfg = SolverConfig(gamma=50.0 / L, rule=FistaLike(20), stop=Stopping(0.0, 0.0, 5000),
                            continuation=Continuation(enabled=continuation))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                DivergenceError, match="became non-finite") as exc_info:
+        with pytest.raises(DivergenceError, match="became non-finite") as exc_info:
             solve(p, cfg)
         trace = exc_info.value.trace
         assert trace is not None and trace.iterations > 0
@@ -616,13 +615,14 @@ def test_set_up_is_on_the_clock(monkeypatch):
         assert trace.records[0].elapsed_s >= 0.05 and trace.seconds >= 0.05
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_iterations_count_the_records():
     # converged, at the iteration cap and diverged alike, the clock never
     # runs backwards and seconds covers the last record
     p, _ = small_completion_problem()
     converged = prograamme_solve(p, SolverConfig(r=10, stop=Stopping(1e-8, 0.0, 2000)))
     capped = pgd_solve(p, SolverConfig(stop=Stopping(0.0, 0.0, 7)))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc_info:
+    with pytest.raises(DivergenceError) as exc_info:
         pgd_solve(p, SolverConfig(gamma=50.0, stop=Stopping(0.0, 0.0, 5000)))
     diverged = exc_info.value.trace
     assert converged.converged and not capped.converged and capped.iterations == 7
@@ -640,6 +640,7 @@ def small_sensing_problem():
     return gen.problem(gen.noise_norm)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["completion", "sensing"])
 @pytest.mark.parametrize("solve", [pgd_solve, prograamme_solve])
 def test_non_finite_extrapolation_is_a_divergence(monkeypatch, kind, solve):
@@ -650,8 +651,8 @@ def test_non_finite_extrapolation_is_a_divergence(monkeypatch, kind, solve):
     monkeypatch.setattr(solver, "inertial_value",
                         lambda rule, k, step_prev=0.0: 0.0 if k == 1 else np.inf)
     cfg = SolverConfig(r=6, stop=Stopping(0.0, 0.0, 10))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            DivergenceError, match="^gradient step became non-finite at iteration 2 ") as exc_info:
+    with pytest.raises(DivergenceError,
+                       match="^gradient step became non-finite at iteration 2 ") as exc_info:
         solve(p, cfg)
     trace = exc_info.value.trace
     assert trace is not None and trace.iterations == 1
@@ -659,6 +660,7 @@ def test_non_finite_extrapolation_is_a_divergence(monkeypatch, kind, solve):
     assert np.all(np.isfinite(trace.X))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_product_of_finite_factors_raises(monkeypatch):
     # the factors are finite but their product is not: the step norm is then
     # not finite either, and that alone must lead to the check of X
@@ -668,8 +670,8 @@ def test_overflowing_product_of_finite_factors_raises(monkeypatch):
         return FactorPair(np.full(start.U.shape, 1e200), np.full(start.V.shape, 1e200)), 1
 
     monkeypatch.setattr(amfit, "inner_solve", overflowing)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            DivergenceError, match="iterate became non-finite at iteration 1 ") as exc_info:
+    with pytest.raises(DivergenceError,
+                       match="iterate became non-finite at iteration 1 ") as exc_info:
         prograamme_solve(p, SolverConfig(r=4))
     trace = exc_info.value.trace
     assert trace is not None and trace.records == [] and trace.iterations == 0
