@@ -34,17 +34,19 @@ _SOLVERS = {"prograamme": prograamme_solve, "prograamme-rc": prograamme_solve,
             "pgd": pgd_solve, "fista": pgd_solve}
 ALGORITHMS = tuple(_SOLVERS)
 
-_RULES = {"zero": Zero, "constant": Constant, "fista": FistaLike, "online": Online}
+_RULES = {c.__name__: c for c in (Zero, Constant, FistaLike, Online)}
 #: The inertial rule each SVT baseline runs; the factored solvers take any rule.
 _SVT_RULES = {"pgd": Zero, "fista": FistaLike}
-_INNER = {"fixed": FixedI, "tolerance": Tolerance, "increasing": IncreasingI}
+_INNER = {c.__name__: c for c in (FixedI, Tolerance, IncreasingI)}
 _NOISE = {c.__name__: c for c in (problems.GaussianScaled, problems.SparseLarge,
                                    problems.AdditiveGaussian)}
 _WEIGHTS = {c.__name__: c for c in (problems.AllOnes, problems.UniformInt,
                                     problems.LargeOnSupport)}
 _TAU_PRESETS = {"noise_norm": 1.0, "2*noise_norm": 2.0}
-#: The top-level config keys a run reads; any other key is refused.
-_CONFIG_KEYS = {"tau", "gamma", "r", "rule", "inner", "stop"}
+#: The SolverConfig fields each solver reads, which with tau are the keys its
+#: config may hold: --algo sets continuation, and pgd and fista read no r or inner.
+_FIELDS_READ = {algorithm: {"gamma", "rule", "stop"} if algorithm in _SVT_RULES
+                else {"gamma", "r", "rule", "inner", "stop"} for algorithm in ALGORITHMS}
 
 
 # ---------------------------------------------------------------------------
@@ -133,54 +135,51 @@ def _tagged(obj, *variants):
     return d
 
 
-def _parse(table, obj, key, default):
-    """Build table[d["type"]] from the other fields of d = obj.get(key, default).
-
-    A present key must hold an object that names a type of the table.
-    """
-    d = obj.get(key, default)
-    if not isinstance(d, dict) or d.get("type") not in table:
-        raise LowRankError(f"{key} must be an object whose type is one of "
-                           f"{', '.join(table)}, got {d!r}")
+def _variants(d, **tables):
+    """d with each field of tables that it holds built as the type its object names."""
     d = dict(d)
-    return table[d.pop("type")](**d)
+    for key in sorted(tables.keys() & d.keys()):
+        table, value = tables[key], d[key]
+        if not isinstance(value, dict) or value.get("type") not in table:
+            raise LowRankError(f"{key} must be an object whose type is one of "
+                               f"{', '.join(table)}, got {value!r}")
+        fields = dict(value)
+        d[key] = table[fields.pop("type")](**fields)
+    return d
 
 
 def parse_spec(d):
     """The SyntheticSpec of a spec object, as the manifest's "spec" records it."""
     if not isinstance(d, dict):
         raise LowRankError(f"spec must be an object, got {d!r}")
-    noise = _parse(_NOISE, d, "noise", {"type": "AdditiveGaussian"})
-    weights = _parse(_WEIGHTS, d, "weights", {"type": "AllOnes"})
-    return problems.SyntheticSpec(**dict(d, noise=noise, weights=weights))
+    return problems.SyntheticSpec(**_variants(d, noise=_NOISE, weights=_WEIGHTS))
 
 
 def build_solver_config(cfg, algorithm):
-    """Turn a config dict into a SolverConfig for the named algorithm.
+    """Turn a config dict into the SolverConfig the named algorithm runs.
 
-    The algorithm alone decides rank continuation, and for pgd and fista
-    the inertial rule: pgd runs Zero and fista FistaLike, whose d a rule
-    of type "fista" may set; any other rule for them is refused. A key
-    outside _CONFIG_KEYS is refused.
+    Besides tau, the config may hold only the fields the algorithm's solver
+    reads; an absent one takes the SolverConfig default. The algorithm alone
+    decides rank continuation, and for pgd and fista the inertial rule: pgd
+    runs Zero and fista FistaLike, whose d a rule of type FistaLike may set;
+    any other rule for them is refused.
     """
     if algorithm not in _SOLVERS:
         raise LowRankError(f"unknown algorithm {algorithm!r}")
-    unread = sorted(set(cfg) - _CONFIG_KEYS)
+    fields = {key: value for key, value in cfg.items() if key != "tau"}
+    unread = sorted(fields.keys() - _FIELDS_READ[algorithm])
     if unread:
         raise LowRankError(f"config key(s) not read by the solver: {', '.join(unread)}")
-    rule = _parse(_RULES, cfg, "rule", {"type": "fista" if algorithm == "fista" else "zero"})
+    fields = _variants(fields, rule=_RULES, inner=_INNER)
+    if "stop" in fields:
+        fields["stop"] = Stopping(**fields["stop"])
     fixed = _SVT_RULES.get(algorithm)
-    if fixed is not None and not isinstance(rule, fixed):
-        raise LowRankError(f"algorithm {algorithm!r} runs the {fixed.__name__} rule, "
-                           f"not a rule of type {cfg['rule']['type']!r}")
-    return SolverConfig(
-        gamma=cfg.get("gamma"),
-        rule=rule,
-        inner=_parse(_INNER, cfg, "inner", {"type": "fixed", "passes": 1}),
-        r=cfg.get("r", 10),
-        continuation=Continuation(enabled=algorithm == "prograamme-rc"),
-        stop=Stopping(**cfg.get("stop", {})),
-    )
+    if fixed is not None:
+        rule = fields.setdefault("rule", fixed())
+        if not isinstance(rule, fixed):
+            raise LowRankError(f"algorithm {algorithm!r} runs the {fixed.__name__} rule, "
+                               f"not a rule of type {type(rule).__name__!r}")
+    return SolverConfig(**fields, continuation=Continuation(enabled=algorithm == "prograamme-rc"))
 
 
 def resolve_tau(cfg, noise_norm):
@@ -278,7 +277,8 @@ def _run(p, cfg, algorithm, seed, out):
         "lipschitz": trace.lipschitz,
         "exit_residual": trace.exit_residual,
         "notes": list(trace.notes),
-        "config": _tagged(cfg, "rule", "inner"),
+        "config": {key: value for key, value in _tagged(cfg, "rule", "inner").items()
+                   if key in _FIELDS_READ[algorithm]},
         "tau": p.tau,
         "version": __version__,
     })

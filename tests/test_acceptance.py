@@ -288,15 +288,15 @@ def test_inertial_sweep_bench(tmp_path):
     }
     config = {
         "tau": "noise_norm", "r": 10,
-        "inner": {"type": "tolerance", "eps": 1e-8, "max_inner": 50},
+        "inner": {"type": "Tolerance", "eps": 1e-8, "max_inner": 50},
         "stop": {"step_tol": 1e-8, "max_iter": 3000},
     }
     rules = [
-        ("a0", {"type": "zero"}),
-        ("a14", {"type": "constant", "a": 0.25}),
-        ("a12", {"type": "constant", "a": 0.5}),
-        ("a34", {"type": "constant", "a": 0.75}),
-        ("fista20", {"type": "fista", "d": 20}),
+        ("a0", {"type": "Zero"}),
+        ("a14", {"type": "Constant", "a": 0.25}),
+        ("a12", {"type": "Constant", "a": 0.5}),
+        ("a34", {"type": "Constant", "a": 0.75}),
+        ("fista20", {"type": "FistaLike", "d": 20}),
     ]
     suite = {"seed": 0, "runs": [
         {"name": name, "algorithm": "prograamme", "spec": spec,

@@ -187,6 +187,9 @@ def test_inner_solve_shape_check():
     pair = random_pair(4, 4, 2, rng)
     with pytest.raises(DimensionError):
         inner_solve(np.ones((5, 4)), 0.5, pair, FixedI(1))
+    # an object of no known policy runs no pass
+    with pytest.raises(TypeError, match="unknown inner policy"):
+        inner_solve(np.ones((4, 4)), 0.5, pair, object())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,12 +12,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from lowrank import cli, problems, solver
-from lowrank.amfit import FixedI, Tolerance
+from lowrank.amfit import FixedI, IncreasingI, Tolerance
 from lowrank.exceptions import DimensionError, LowRankError
 from lowrank.problems import (AdditiveGaussian, AllOnes, GaussianScaled,
                               LargeOnSupport, SparseLarge, SyntheticSpec,
                               UniformInt)
-from lowrank.solver import Constant, FistaLike, SolverConfig, Stopping, Zero
+from lowrank.solver import Constant, FistaLike, Online, SolverConfig, Stopping, Zero
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,13 +34,16 @@ SPEC = {
 CONFIG = {
     "tau": "noise_norm",
     "r": 10,
-    "inner": {"type": "tolerance", "eps": 1e-8, "max_inner": 50},
+    "inner": {"type": "Tolerance", "eps": 1e-8, "max_inner": 50},
     "stop": {"step_tol": 1e-8, "max_iter": 2000},
     "seed": 1,
 }
 
+# pgd and fista read no rank budget and no inner policy, so their configs hold neither
+SVT_CONFIG = {key: value for key, value in CONFIG.items() if key not in ("r", "inner")}
+
 # a bench run takes its seed from the suite, so its config holds none
-BENCH_CONFIG = {key: value for key, value in CONFIG.items() if key != "seed"}
+BENCH_CONFIG = {key: value for key, value in SVT_CONFIG.items() if key != "seed"}
 
 
 @pytest.fixture
@@ -153,7 +156,7 @@ def test_problem_dir_with_a_mask_exits_2(tmp_path, runner):
     manifest["shapes"]["mask"] = [30, 30]
     write_json(prob_dir / "manifest.json", manifest)
     config_file = tmp_path / "config.json"
-    write_json(config_file, CONFIG)
+    write_json(config_file, SVT_CONFIG)
     result = runner.invoke(cli.main, [
         "solve", "--problem", str(prob_dir), "--config", str(config_file),
         "--algo", "pgd", "--out", str(tmp_path / "run"),
@@ -223,7 +226,9 @@ def test_solve_rc_identifies_planted_rank(tmp_path, runner):
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["final_rank"] == 3
-    assert summary["config"]["continuation"]["enabled"] is True
+    # --algo alone sets continuation, so the config echo leaves it out
+    assert summary["algorithm"] == "prograamme-rc"
+    assert "continuation" not in summary["config"]
     # one note per budget move, matching the drops and rises in the trace
     with open(out / "trace.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -267,7 +272,7 @@ def test_solve_binding_budget_exits_3(tmp_path, runner):
 def test_solve_fista_echoes_rule(tmp_path, runner):
     prob_dir = make_problem_dir(tmp_path, runner)
     config_file = tmp_path / "config.json"
-    write_json(config_file, CONFIG)
+    write_json(config_file, SVT_CONFIG)
     out = tmp_path / "run"
     result = runner.invoke(cli.main, [
         "solve", "--problem", str(prob_dir), "--config", str(config_file),
@@ -279,6 +284,8 @@ def test_solve_fista_echoes_rule(tmp_path, runner):
     # the config echo holds the rule's type and d, and so its formula
     assert summary["config"]["rule"] == {"type": "FistaLike", "d": 20.0}
     assert "inertial_rule" not in summary
+    # the echo holds the fields the solver read, and fista reads no r or inner
+    assert sorted(summary["config"]) == ["gamma", "rule", "stop"]
 
 
 def test_solve_weighted_completion_converges(tmp_path, runner):
@@ -345,9 +352,9 @@ def test_failing_cli_run_writes_one_stderr_line(tmp_path, runner, args, message)
     # diverges at gamma = 3 and a generate whose noise draw overflows each
     # used to print numpy's RuntimeWarnings, with their source lines, first
     make_problem_dir(tmp_path, runner)
-    wild = dict(CONFIG, gamma=3.0)
-    write_json(tmp_path / "svt.json", wild)
-    write_json(tmp_path / "factored.json", dict(wild, rule={"type": "fista", "d": 20}))
+    write_json(tmp_path / "svt.json", dict(SVT_CONFIG, gamma=3.0))
+    write_json(tmp_path / "factored.json",
+               dict(CONFIG, gamma=3.0, rule={"type": "FistaLike", "d": 20}))
     write_json(tmp_path / "overflow.json",
                dict(SPEC, noise={"type": "AdditiveGaussian", "sigma": 1e308}))
     out = ("--problem", "prob", "--out", "run") if args[0] == "solve" else ("--out", "huge")
@@ -361,7 +368,7 @@ def test_failing_cli_run_writes_one_stderr_line(tmp_path, runner, args, message)
 def test_solve_non_convergence_exits_3(tmp_path, runner):
     prob_dir = make_problem_dir(tmp_path, runner)
     config_file = tmp_path / "config.json"
-    write_json(config_file, dict(CONFIG, stop={"step_tol": 0.0, "max_iter": 5}))
+    write_json(config_file, dict(SVT_CONFIG, stop={"step_tol": 0.0, "max_iter": 5}))
     out = tmp_path / "run"
     result = runner.invoke(cli.main, [
         "solve", "--problem", str(prob_dir), "--config", str(config_file),
@@ -387,7 +394,7 @@ def test_solve_corrupt_problem_exits_2(tmp_path, runner):
     prob_dir = make_problem_dir(tmp_path, runner)
     (prob_dir / "F.csv").write_text("1.0,2.0\n3.0,4.0\n")
     config_file = tmp_path / "config.json"
-    write_json(config_file, CONFIG)
+    write_json(config_file, SVT_CONFIG)
     result = runner.invoke(cli.main, [
         "solve", "--problem", str(prob_dir), "--config", str(config_file),
         "--algo", "pgd", "--out", str(tmp_path / "run"),
@@ -395,21 +402,108 @@ def test_solve_corrupt_problem_exits_2(tmp_path, runner):
     assert result.exit_code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["generate", "solve"])
+def test_io_failure_exits_4(tmp_path, runner, command):
+    # an OSError is an I/O failure, told apart from a validation error
+    prob_dir = make_problem_dir(tmp_path, runner)
+    if command == "generate":
+        # the parent of --out is a regular file
+        (tmp_path / "afile").write_text("")
+        args = ["--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "afile" / "prob")]
+        message = "[Errno 20] Not a directory"
+    else:
+        (prob_dir / "F.csv").unlink()
+        write_json(tmp_path / "config.json", CONFIG)
+        args = ["--problem", str(prob_dir), "--config", str(tmp_path / "config.json"),
+                "--algo", "prograamme", "--out", str(tmp_path / "run")]
+        message = "prob/F.csv not found."
+    result = runner.invoke(cli.main, [command, *args])
+    assert result.exit_code == cli.EXIT_IO
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
 def test_build_solver_config_variants():
-    cfg = cli.build_solver_config({"rule": {"type": "constant", "a": 0.25}}, "prograamme")
+    cfg = cli.build_solver_config({"rule": {"type": "Constant", "a": 0.25}}, "prograamme")
     assert cfg.rule == Constant(0.25)
     assert cfg.inner == FixedI(1)
     cfg = cli.build_solver_config({}, "fista")
     assert cfg.rule == FistaLike(20.0)
-    cfg = cli.build_solver_config({"rule": {"type": "fista", "d": 5}}, "fista")
+    cfg = cli.build_solver_config({"rule": {"type": "FistaLike", "d": 5}}, "fista")
     assert cfg.rule == FistaLike(5.0)
     cfg = cli.build_solver_config({}, "prograamme-rc")
     assert cfg.continuation.enabled
     cfg = cli.build_solver_config(
-        {"inner": {"type": "tolerance", "eps": 1e-4, "max_inner": 20}}, "prograamme"
+        {"inner": {"type": "Tolerance", "eps": 1e-4, "max_inner": 20}}, "prograamme"
     )
     assert cfg.inner == Tolerance(1e-4, 20)
     assert isinstance(cli.build_solver_config({}, "pgd").rule, Zero)
+    # an absent field is the SolverConfig's own default
+    assert cli.build_solver_config({}, "prograamme") == SolverConfig()
+    assert cli.build_solver_config({"stop": {"max_iter": 7}}, "pgd").stop == Stopping(max_iter=7)
+
+
+def test_variant_tables_name_each_class_once():
+    # the type a config or spec names is the class name, the one the library
+    # and summary.json use
+    for table, classes in ((cli._RULES, {Zero, Constant, FistaLike, Online}),
+                           (cli._INNER, {FixedI, Tolerance, IncreasingI}),
+                           (cli._NOISE, {GaussianScaled, SparseLarge, AdditiveGaussian}),
+                           (cli._WEIGHTS, {AllOnes, UniformInt, LargeOnSupport})):
+        assert table == {cls.__name__: cls for cls in classes}
+
+
+@pytest.mark.parametrize("key, value, names", [
+    ("rule", {"type": "fista", "d": 20}, "Zero, Constant, FistaLike, Online"),
+    ("rule", {"type": "zero"}, "Zero, Constant, FistaLike, Online"),
+    ("inner", {"type": "tolerance", "eps": 1e-8}, "FixedI, Tolerance, IncreasingI"),
+], ids=["fista", "zero", "tolerance"])
+def test_lowercase_variant_type_exits_2(tmp_path, runner, key, value, names):
+    prob_dir = make_problem_dir(tmp_path, runner)
+    config_file = tmp_path / "config.json"
+    write_json(config_file, dict(CONFIG, **{key: value}))
+    result = runner.invoke(cli.main, [
+        "solve", "--problem", str(prob_dir), "--config", str(config_file),
+        "--algo", "prograamme", "--out", str(tmp_path / "run"),
+    ])
+    assert result.exit_code == cli.EXIT_VALIDATION
+    assert f"{key} must be an object whose type is one of {names}, got" in result.output
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("algorithm, fields", [
+    ("prograamme", {"r": 7, "rule": {"type": "Online", "a": 0.3},
+                    "inner": {"type": "Tolerance", "eps": 1e-6, "max_inner": 30}}),
+    ("prograamme-rc", {"r": 12, "rule": {"type": "Constant", "a": 0.25},
+                       "inner": {"type": "Tolerance", "eps": 1e-6, "max_inner": 30}}),
+    ("pgd", {}),
+    ("fista", {"rule": {"type": "FistaLike", "d": 5}}),
+], ids=["prograamme", "prograamme-rc", "pgd", "fista"])
+def test_summary_config_reproduces_its_run(tmp_path, runner, algorithm, fields):
+    # summary.json's config, with the run's tau and seed beside it, is a
+    # config that the CLI accepts and that runs the same solve again
+    prob_dir = make_problem_dir(tmp_path, runner)
+    config = given = dict(SVT_CONFIG, **fields)
+    runs = []
+    for name in ("first", "second"):
+        write_json(tmp_path / f"{name}.json", config)
+        result = runner.invoke(cli.main, [
+            "solve", "--problem", str(prob_dir), "--config", str(tmp_path / f"{name}.json"),
+            "--algo", algorithm, "--out", str(tmp_path / name),
+        ])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        with open(tmp_path / name / "trace.csv", newline="") as fh:
+            rows = [row[:1] + row[2:] for row in csv.reader(fh)]
+        runs.append((summary, rows))
+        config = dict(summary["config"], tau=summary["tau"], seed=summary["seed"])
+    (first, first_rows), (second, second_rows) = runs
+    assert first_rows == second_rows and len(first_rows) > 2
+    assert second["config"] == first["config"]
+    assert "continuation" not in first["config"]
+    ran = cli.build_solver_config({k: v for k, v in given.items() if k != "seed"}, algorithm)
+    assert cli.build_solver_config(first["config"], algorithm) == ran
 
 
 def test_resolve_tau_presets():
@@ -426,6 +520,7 @@ def test_resolve_tau_presets():
 
 
 def test_bench_aggregate(tmp_path, runner):
+    factored = dict(BENCH_CONFIG, r=CONFIG["r"], inner=CONFIG["inner"])
     suite = {
         "seed": 0,
         "runs": [
@@ -433,13 +528,13 @@ def test_bench_aggregate(tmp_path, runner):
                 "name": "plain",
                 "algorithm": "prograamme",
                 "spec": SPEC,
-                "config": BENCH_CONFIG,
+                "config": factored,
             },
             {
                 "name": "inertia",
                 "algorithm": "prograamme",
                 "spec": SPEC,
-                "config": dict(BENCH_CONFIG, rule={"type": "constant", "a": 0.25}),
+                "config": dict(factored, rule={"type": "Constant", "a": 0.25}),
             },
         ],
     }
@@ -536,9 +631,10 @@ def test_bench_records_divergence_and_partial_trace(tmp_path, runner):
      "w_max must be below 2**63 - 1"),
     ({"spec": dict(SPEC, noise={"type": "AdditiveGaussian", "sigma": 1e308})},
      "F contains non-finite entries"),
+    ({"algorithm": "svd"}, "unknown algorithm 'svd'"),
 ], ids=["unread-key", "no-tau", "unknown-preset", "tau-negative", "tau-inf", "tau-bool",
         "spec-seed-fraction", "spec-weights-negative", "spec-weights-int64",
-        "spec-noise-overflow"])
+        "spec-noise-overflow", "unknown-algorithm"])
 def test_bench_validates_every_run_before_the_first_solve(tmp_path, runner, bad, message):
     run = {"name": "good", "algorithm": "pgd", "spec": SPEC, "config": BENCH_CONFIG}
     suite = {"seed": 0, "runs": [run, dict(run, name="bad", **bad)]}
@@ -548,7 +644,8 @@ def test_bench_validates_every_run_before_the_first_solve(tmp_path, runner, bad,
     result = runner.invoke(cli.main, ["bench", "--suite", str(suite_file),
                                       "--out", str(out)])
     assert result.exit_code == cli.EXIT_VALIDATION
-    assert message in result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert not (out / "good").exists()
 
 

@@ -7,7 +7,8 @@ from click.testing import CliRunner
 
 from lowrank import cli, problems
 
-CONFIG = {"tau": "noise_norm", "r": 5, "stop": {"step_tol": 1e-8, "max_iter": 200}}
+# every algorithm reads these keys; pgd and fista read no r and no inner
+CONFIG = {"tau": "noise_norm", "stop": {"step_tol": 1e-8, "max_iter": 200}}
 
 
 @pytest.fixture
@@ -44,10 +45,10 @@ def test_bench_run_whose_spec_is_not_an_object_exits_2(tmp_path, spec):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("inner", [{"type": "increasing", "every": 0},
-                                   {"type": "increasing", "start": 0},
-                                   {"type": "fixed", "passes": 0},
-                                   {"type": "tolerance", "max_inner": 0}],
+@pytest.mark.parametrize("inner", [{"type": "IncreasingI", "every": 0},
+                                   {"type": "IncreasingI", "start": 0},
+                                   {"type": "FixedI", "passes": 0},
+                                   {"type": "Tolerance", "max_inner": 0}],
                          ids=["every", "start", "passes", "max_inner"])
 def test_solve_with_empty_inner_budget_exits_2(tmp_path, problem_dir, inner):
     result = invoke(tmp_path, "solve", dict(CONFIG, inner=inner),
@@ -69,22 +70,29 @@ def test_solve_with_no_iteration_budget_exits_2(tmp_path, problem_dir):
 # d, so continuation and fista_d are refused; R and a top-level max_iter,
 # misspellings of r and stop.max_iter, would otherwise run on the defaults;
 # trace_level is a retired option; a bench run's seed comes from the suite,
-# so its config may hold none
+# so its config may hold none; the SVT baselines read no rank budget and no
+# inner policy
 UNREAD = {"continuation": {"rank_tol": 1.0}, "fista_d": 5.0, "R": 50, "max_iter": 5,
           "trace_level": "full"}
+SVT_UNREAD = {"r": 5, "inner": {"type": "FixedI", "passes": 2}}
 
 
-@pytest.mark.parametrize("command, key, value", [
-    pytest.param(command, key, value, id=f"{command}-{key}")
-    for command, keys in (("solve", UNREAD), ("bench", dict(UNREAD, seed=3)))
+@pytest.mark.parametrize("command, algorithm, key, value", [
+    pytest.param(command, algorithm, key, value,
+                 id=f"{command}-{key}" if algorithm == "prograamme-rc"
+                 else f"{command}-{algorithm}-{key}")
+    for command, algorithm, keys in (
+        ("solve", "prograamme-rc", UNREAD), ("bench", "prograamme-rc", dict(UNREAD, seed=3)),
+        ("solve", "pgd", SVT_UNREAD), ("solve", "fista", SVT_UNREAD),
+        ("bench", "fista", SVT_UNREAD))
     for key, value in keys.items()])
-def test_unread_config_key_exits_2(tmp_path, problem_dir, command, key, value):
+def test_unread_config_key_exits_2(tmp_path, problem_dir, command, algorithm, key, value):
     config = dict(CONFIG, **{key: value})
     if command == "solve":
         result = invoke(tmp_path, "solve", config, "--problem", str(problem_dir),
-                        "--algo", "prograamme-rc")
+                        "--algo", algorithm)
     else:
-        suite = {"runs": [{"name": "a", "algorithm": "prograamme-rc", "config": config,
+        suite = {"runs": [{"name": "a", "algorithm": algorithm, "config": config,
                            "spec": {"m": 12, "n": 10, "rank": 2, "mask_fraction": 0.5}}]}
         result = invoke(tmp_path, "bench", suite)
     assert result.exit_code == cli.EXIT_VALIDATION, result.output
@@ -94,9 +102,9 @@ def test_unread_config_key_exits_2(tmp_path, problem_dir, command, key, value):
 
 # the SVT baselines run the method their name gives: pgd no inertia, fista
 # the FISTA rule, whose d alone the config may set
-@pytest.mark.parametrize("algorithm, rule", [("pgd", {"type": "fista", "d": 5}),
-                                             ("fista", {"type": "zero"}),
-                                             ("fista", {"type": "constant", "a": 0.3})],
+@pytest.mark.parametrize("algorithm, rule", [("pgd", {"type": "FistaLike", "d": 5}),
+                                             ("fista", {"type": "Zero"}),
+                                             ("fista", {"type": "Constant", "a": 0.3})],
                          ids=["pgd-fista", "fista-zero", "fista-constant"])
 def test_svt_baseline_refuses_another_rule(tmp_path, problem_dir, algorithm, rule):
     result = invoke(tmp_path, "solve", dict(CONFIG, rule=rule),
@@ -127,7 +135,7 @@ def test_generate_with_exact_mask_count_exits_2(tmp_path):
     ("r", '"r": true'),
     ("max_iter", '"stop": {"max_iter": 2.5}'),
     ("max_iter", '"stop": {"max_iter": 1e999}'),
-    ("passes", '"inner": {"type": "fixed", "passes": 2.5}'),
+    ("passes", '"inner": {"type": "FixedI", "passes": 2.5}'),
     ("tau", '"tau": true'),
     ("gamma", '"gamma": true'),
     ("step_tol", '"stop": {"step_tol": true}'),

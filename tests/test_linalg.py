@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowrank import linalg
-from lowrank.exceptions import DefinitenessError, NonFiniteError, NumericalError
+from lowrank.exceptions import (DefinitenessError, DimensionError, NonFiniteError,
+                                NumericalError)
 
 
 def test_spd_solve_identity():
@@ -43,6 +44,11 @@ def test_spd_solve_ill_conditioned():
 def test_spd_solve_rejects_indefinite():
     with pytest.raises(DefinitenessError):
         linalg.spd_solve(np.diag([1.0, -1.0]), np.ones((2, 1)))
+    # and a G that is not square, or a B whose rows do not match it
+    with pytest.raises(DimensionError, match="G must be square"):
+        linalg.spd_solve(np.ones((2, 3)), np.ones((2, 1)))
+    with pytest.raises(DimensionError, match="B has 3 rows, expected 2"):
+        linalg.spd_solve(np.eye(2), np.ones((3, 1)))
 
 
 EPS = np.finfo(float).eps
@@ -263,3 +269,8 @@ def test_spectral_norm_tells_non_finite_from_overflow(bad, error):
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         linalg.as_matrix([[1.0, np.nan]])
+    # and an array that is no matrix with a row and a column
+    with pytest.raises(DimensionError, match="must be 2-dimensional, got ndim=1"):
+        linalg.as_matrix(np.ones(3))
+    with pytest.raises(DimensionError, match=r"must have positive dimensions, got \(0, 3\)"):
+        linalg.as_matrix(np.ones((0, 3)))

@@ -166,6 +166,8 @@ def test_problem_validation():
         Problem(Identity((3, 3)), F, np.ones((3, 3)), 0.0)
     with pytest.raises(DimensionError):
         Problem(Identity((3, 3)), np.ones((2, 3)), np.ones((3, 3)), 1.0)
+    with pytest.raises(DimensionError, match="W shape"):
+        Problem(Identity((3, 3)), F, np.ones((3, 2)), 1.0)
     # squares of 1e200 overflow and squares of 1e-200 underflow to zero: the
     # first was accepted with L = inf, so gamma = 0, and the second was
     # refused by lipschitz_bound as a zero weight matrix, which W is not

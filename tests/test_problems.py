@@ -57,6 +57,10 @@ def test_spec_validation():
             (lambda: SparseLarge(sparsity=1.0), "sparsity must lie in")):
         with pytest.raises(InvalidSpecError, match=message):
             make()
+    # generation refuses a noise or weights object of no known variant
+    for field, what in (("noise", "noise"), ("weights", "weight")):
+        with pytest.raises(InvalidSpecError, match=f"unknown {what} variant"):
+            generate_full(SyntheticSpec(10, 10, 2, **{field: object()}))
     # every bound at the edge of its range is accepted
     UniformInt(0, 1), UniformInt(3, 3), UniformInt(1, 2**63 - 2), LargeOnSupport(0.5, 0.0, 0.0)
     AdditiveGaussian(0.0), GaussianScaled(0.0), SparseLarge(2.0, 2.0, 0.5)

@@ -80,3 +80,6 @@ def test_svt_refuses_non_finite_z():
     Z[1, 2] = np.nan
     with pytest.raises(NonFiniteError):
         svt_with_rank(Z, 0.5)
+    # nor a negative threshold
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        svt(np.eye(3), -1.0)

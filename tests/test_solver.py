@@ -124,6 +124,10 @@ def test_inertial_validation():
         FistaLike(2.0)
     with pytest.raises(ValueError):
         inertial_value(Zero(), 0)
+    with pytest.raises(ValueError, match=r"a must lie in \[0, 1\], got 1.5"):
+        Online(a=1.5)
+    with pytest.raises(TypeError, match="unknown inertial rule"):
+        inertial_value(object(), 1)
 
 
 def test_large_tau_drives_solution_to_zero():
@@ -162,6 +166,38 @@ def test_solver_agreement_small():
     prog = prograamme_solve(
         p, SolverConfig(r=10, inner=Tolerance(1e-10, 500), stop=stop), seed=1
     )
+    pgd = pgd_solve(p, SolverConfig(stop=stop))
+    assert prog.converged and pgd.converged
+    dist = np.linalg.norm(prog.X - pgd.X) / max(np.linalg.norm(pgd.X), 1.0)
+    assert dist <= 1e-6
+
+
+def test_zero_factor_pair_restarts_from_a_random_pair(monkeypatch):
+    # no natural input reaches the restart: the step norm underflows to 0
+    # before the factors do, so the run stops first; a zero pair returned
+    # once at k = 2 must be replaced by a fresh random pair at k = 3
+    p, _ = small_completion_problem()
+    inner_solve, random_pair = amfit.inner_solve, amfit.random_pair
+    draws = []
+
+    def zero_at_2(Z, mu, start, policy, k=1):
+        pair, passes = inner_solve(Z, mu, start, policy, k)
+        if k == 2:
+            pair = FactorPair(np.zeros_like(pair.U), np.zeros_like(pair.V))
+        return pair, passes
+
+    def counted(*args):
+        draws.append(args)
+        return random_pair(*args)
+
+    monkeypatch.setattr(amfit, "inner_solve", zero_at_2)
+    monkeypatch.setattr(amfit, "random_pair", counted)
+    stop = Stopping(1e-10, 0.0, 2000)
+    prog = prograamme_solve(
+        p, SolverConfig(r=10, inner=Tolerance(1e-10, 500), stop=stop), seed=1
+    )
+    assert len(draws) == 2
+    assert prog.records[1].rank_x == 0
     pgd = pgd_solve(p, SolverConfig(stop=stop))
     assert prog.converged and pgd.converged
     dist = np.linalg.norm(prog.X - pgd.X) / max(np.linalg.norm(pgd.X), 1.0)
