@@ -5,9 +5,9 @@ minimization scheme, optionally with adaptive rank continuation.
 pgd_solve is the SVD-based baseline (plain proximal gradient descent or,
 with a FISTA-like inertial rule, the FISTA baseline). Both run one outer
 loop, _solve: extrapolate, take a gradient step, apply the prox step,
-check for divergence, stop on the step norm and record a trace. Only the
-prox step differs: the factored inner solve with its rank read and rank
-budget, or the exact SVT.
+check for divergence, restart FISTA's momentum, stop on the step norm and
+record a trace. Only the prox step differs: the factored inner solve with
+its rank read and rank budget, or the exact SVT.
 """
 
 import time
@@ -55,7 +55,13 @@ class Constant:
 
 @dataclass(frozen=True)
 class FistaLike:
-    """FISTA-style inertia a_k = (k - 1) / (k + d) with d > 2."""
+    """FISTA-style inertia a_k = (k - 1) / (k + d) with d > 2.
+
+    k counts the iterations since the last restart, or since the start. The
+    solvers restart the momentum (O'Donoghue and Candes, FoCM 2015) after a
+    step X_new - X that points against it, <Y - X_new, X_new - X> > 0 for the
+    extrapolated point Y, so the next step takes a = 0.
+    """
 
     d: float = 20.0
 
@@ -333,7 +339,8 @@ def prograamme_solve(p, cfg, *, seed=0):
     Args:
         p: Problem instance.
         cfg: SolverConfig; cfg.r is the factor rank budget, rc's cap.
-        seed: Seed for the start and restart factor generator.
+        seed: Seed of the generator of the starting factors and of their
+            re-draw when the inner solve returns a zero pair.
 
     Returns:
         SolveTrace. Elapsed times run from the first line of the call, so
@@ -378,8 +385,8 @@ def _solve(p, cfg, seed, exact):
         else:
             rng = np.random.default_rng(seed)
             # the rank sketch and the growth steps draw from generators of their
-            # own so that the cold-start restarts do not move; a certified read
-            # does not depend on its draws
+            # own so that the re-draws of a zero pair do not move; a certified
+            # read does not depend on its draws
             sketch_rng = np.random.default_rng(0)
             grow_rng = np.random.default_rng(1)
             r_cap = min(cfg.r, m, n)
@@ -391,10 +398,13 @@ def _solve(p, cfg, seed, exact):
         # the last step X_k - X_k-1 and its norm, zero before the first
         D = X
         step = 0.0
+        # FISTA's counter runs from the iteration of its last momentum restart
+        fista = isinstance(cfg.rule, FistaLike)
+        restarted = 0
         records = []
         notes = []
         # the default gamma = 1/L meets the bound exactly, whatever the rounding of gamma * L
-        if isinstance(cfg.rule, FistaLike) and gamma >= 1.0 / L:
+        if fista and gamma >= 1.0 / L:
             notes.append("step size meets or exceeds the classical FISTA bound 1/L; "
                          "convergence is empirical only")
         held = 0
@@ -410,21 +420,22 @@ def _solve(p, cfg, seed, exact):
                                    f"(gamma={gamma:.3e}, L={L:.3e})", trace=trace(False))
 
         for k in range(1, cfg.stop.max_iter + 1):
-            a = inertial_value(cfg.rule, k, step)
+            a = inertial_value(cfg.rule, k - restarted, step)
             # both prox steps validate Z on entry, so Z is read for non-finite
             # entries only when one of them refuses a non-finite matrix; a
             # gradient step that raises leaves Z None
             Z = None
             try:
                 Z = gradient_step(X if a == 0.0 else X + a * D)
-                # not read again before the next step replaces it: free its array for the prox step
-                D = None
+                if not (fista and a > 0.0):
+                    # read by no restart test: free its array for the prox step
+                    D = None
                 if exact:
                     X_new, rank_x = prox.svt_with_rank(Z, mu)
                     inner_iters = 0
                 else:
                     if pair.is_zero():
-                        # degenerate fixed point of the inner iteration; restart
+                        # degenerate fixed point of the inner iteration; re-draw
                         pair = amfit.random_pair(m, n, r, rng)
                     pair, inner_iters = amfit.inner_solve(Z, mu, pair, cfg.inner, k)
                     X_new = pair.product()
@@ -432,11 +443,18 @@ def _solve(p, cfg, seed, exact):
                 # with Z finite, an overflow inside the alternating passes
                 finite = Z is not None and np.all(np.isfinite(Z))
                 raise divergence("inner solve" if finite else "gradient step") from exc
-            D = X_new - X
-            step = float(np.linalg.norm(D))
+            D_new = X_new - X
+            step = float(np.linalg.norm(D_new))
             # X is finite, so a finite step proves X_new finite
             if not np.isfinite(step) and not np.all(np.isfinite(X_new)):
                 raise divergence("iterate")
+            # adaptive restart (O'Donoghue and Candes, FoCM 2015): the momentum
+            # points against the step when <Y - X_new, X_new - X> > 0, which is
+            # a <D, D_new> - |D_new|^2 > 0 since Y - X_new = a D - D_new; an
+            # overflowed product (inf or NaN) never fires
+            if D is not None and step * step < a * float(np.vdot(D, D_new)) < np.inf:
+                restarted = k
+            D = D_new
             stop = step <= cfg.stop.step_tol or (
                 cfg.stop.rel_step_tol > 0.0
                 and step <= cfg.stop.rel_step_tol * max(float(np.linalg.norm(X)), 1.0)

@@ -172,8 +172,8 @@ def test_solver_agreement_small():
     assert dist <= 1e-6
 
 
-def test_zero_factor_pair_restarts_from_a_random_pair(monkeypatch):
-    # no natural input reaches the restart: the step norm underflows to 0
+def test_zero_factor_pair_is_redrawn_from_a_random_pair(monkeypatch):
+    # no natural input reaches the re-draw: the step norm underflows to 0
     # before the factors do, so the run stops first; a zero pair returned
     # once at k = 2 must be replaced by a fresh random pair at k = 3
     p, _ = small_completion_problem()
@@ -225,6 +225,27 @@ def test_factored_inertial_rules_reach_pgd(rule):
     assert prog.converged and pgd.converged
     dist = np.linalg.norm(prog.X - pgd.X) / max(np.linalg.norm(pgd.X), 1.0)
     assert dist <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [7, 10])
+def test_factored_fista_converges_on_sensing_instances(seed):
+    # 60x60 rank-3 dense sensing at tau = 2 noise_norm: without the momentum
+    # restart, factored FistaLike(20) with one pass per iteration still moved
+    # at the 1500-iteration cap on these two seeds, plain and rc alike
+    spec = problems.SyntheticSpec(60, 60, 3, noise=problems.AdditiveGaussian(0.3),
+                                  sensing_dim=1053, seed=seed)
+    gen = problems.generate_full(spec)
+    p = gen.problem(2.0 * gen.noise_norm)
+    stop = Stopping(1e-8, 0.0, 1500)
+    ref = pgd_solve(p, SolverConfig(stop=stop))
+    assert ref.converged
+    for rc in (False, True):
+        cfg = SolverConfig(r=20, rule=FistaLike(20), inner=FixedI(1), stop=stop,
+                           continuation=Continuation(enabled=rc))
+        trace = prograamme_solve(p, cfg, seed=1)
+        assert trace.converged, rc
+        dist = np.linalg.norm(trace.X - ref.X) / max(np.linalg.norm(ref.X), 1.0)
+        assert dist <= 1e-6, rc
 
 
 def test_increasing_inner_passes_follow_their_schedule():
@@ -559,14 +580,15 @@ def weighted_planted(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(weighted_planted(), st.integers(4, 30))
-def test_rc_grows_from_its_small_start_to_the_optimum(case, extra):
+@given(weighted_planted(), st.integers(4, 30), st.sampled_from([Zero(), FistaLike(20)]))
+def test_rc_grows_from_its_small_start_to_the_optimum(case, extra, rule):
+    # with FistaLike, the momentum restarts must not keep rc from pgd's optimum
     p, k = case
     cap = k + extra
     stop = Stopping(1e-11, 0.0, 3000)
-    ref = pgd_solve(p, SolverConfig(stop=stop))
+    ref = pgd_solve(p, SolverConfig(rule=rule, stop=stop))
     assert ref.converged and ref.final_rank == k
-    trace = prograamme_solve(p, SolverConfig(r=cap, inner=FixedI(1), stop=stop,
+    trace = prograamme_solve(p, SolverConfig(r=cap, rule=rule, inner=FixedI(1), stop=stop,
                                              continuation=Continuation(enabled=True)),
                              seed=1)
     assert trace.converged
@@ -733,8 +755,10 @@ def test_extrapolation_is_the_last_step(monkeypatch, kind, algo, rule):
         return spy
 
     value = solver.inertial_value
+    Ks = []
 
     def spying_value(rule, k, step_norm_prev=0.0):
+        Ks.append(k)
         As.append(value(rule, k, step_norm_prev))
         return As[-1]
 
@@ -759,6 +783,15 @@ def test_extrapolation_is_the_last_step(monkeypatch, kind, algo, rule):
     X = [zero, zero] + Xs
     for k in range(1, trace.iterations + 1):
         assert np.array_equal(Ys[k - 1], X[k] + As[k - 1] * (X[k] - X[k - 1])), k
+    # FISTA's counter starts again after each step that the momentum pointed
+    # against, a <D_prev, D> > |D|^2; the other rules count every iteration
+    if isinstance(rule, FistaLike):
+        restart = [As[k - 1] * np.vdot(X[k] - X[k - 1], X[k + 1] - X[k])
+                   > np.linalg.norm(X[k + 1] - X[k]) ** 2
+                   for k in range(1, trace.iterations)]
+        assert Ks == [1] + [1 if fired else k + 1 for k, fired in zip(Ks, restart)]
+    else:
+        assert Ks == list(range(1, trace.iterations + 1))
 
 
 def textbook_gradient(p, X):
